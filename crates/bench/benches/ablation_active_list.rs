@@ -5,15 +5,13 @@
 //! * `gpr_variants` — G-PR-First vs G-PR-NoShr vs G-PR-Shr, the design
 //!   choice behind the 14–84% improvement the paper reports for the
 //!   active-list kernels;
-//! * `worklist_modes` — the four worklist representations (`dense`,
-//!   `compacted`, `queue`, `blocked`) under the paper's best variant,
-//!   across instance families from both deficiency regimes.  This doubles
-//!   as the atomic-contention ablation: small-deficiency instances
-//!   (meshes, road networks) are the launch-bound regime where the
-//!   atomic-append queues beat the compacted lists, and within the queues
-//!   the blocked representation shows what amortizing the contended tail
-//!   `fetch_add` over cache-line-sized blocks buys back from the model's
-//!   hot-word serialization charge.
+//! * `worklist_modes` — the three worklist representations (`dense`,
+//!   `compacted`, `queue`) under the paper's best variant, across instance
+//!   families from both deficiency regimes.  This doubles as the
+//!   atomic-contention ablation: small-deficiency instances (meshes, road
+//!   networks) are the launch-bound regime where the atomic-append queue
+//!   beats the compacted lists despite the model's hot-word serialization
+//!   charge on its tail `fetch_add`.
 //!
 //! Run with `cargo bench -p gpm-bench --bench ablation_active_list`.
 //! Set `GPM_ABLATION_QUICK=1` to restrict the sweep to two instances with

@@ -6,8 +6,8 @@
 //! Run with `cargo bench -p gpm-bench --bench ablation_backend`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpm_core::gpr::{self, GprConfig};
-use gpm_gpu::{Backend, VirtualGpu};
+use gpm_core::gpr::{self, GprConfig, GprWorkspace};
+use gpm_gpu::{Backend, StopCheck, VirtualGpu};
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::instances::{by_name, Scale};
 
@@ -25,7 +25,10 @@ fn bench_backends(c: &mut Criterion) {
     for (name, gpu) in &backends {
         group.bench_with_input(BenchmarkId::from_parameter(name), gpu, |b, gpu| {
             b.iter(|| {
-                gpr::run(gpu, &graph, &initial, GprConfig::paper_default()).matching.cardinality()
+                let mut ws = GprWorkspace::new();
+                let config = GprConfig::paper_default();
+                let r = gpr::run(gpu, &graph, &initial, config, &mut ws, &StopCheck::never());
+                r.matching.cardinality()
             })
         });
     }

@@ -4,8 +4,8 @@
 //! Run with `cargo bench -p gpm-bench --bench ablation_shrink`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpm_core::gpr::{self, GprConfig, GprVariant};
-use gpm_gpu::VirtualGpu;
+use gpm_core::gpr::{self, GprConfig, GprVariant, GprWorkspace};
+use gpm_gpu::{StopCheck, VirtualGpu};
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::instances::{by_name, Scale};
 
@@ -25,7 +25,9 @@ fn bench_shrink_threshold(c: &mut Criterion) {
                     shrink_threshold: threshold,
                     ..GprConfig::paper_default()
                 };
-                gpr::run(&gpu, &graph, &initial, config).matching.cardinality()
+                let mut ws = GprWorkspace::new();
+                let r = gpr::run(&gpu, &graph, &initial, config, &mut ws, &StopCheck::never());
+                r.matching.cardinality()
             })
         });
     }

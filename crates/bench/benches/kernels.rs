@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpm_core::device::DeviceState;
 use gpm_core::ggr::global_relabel;
-use gpm_gpu::{primitives, DeviceBuffer, VirtualGpu};
+use gpm_gpu::{primitives, DeviceBuffer, ExecMode, StopCheck, VirtualGpu, WorklistMode};
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::instances::{by_name, Scale};
 
@@ -43,7 +43,8 @@ fn bench_global_relabel(c: &mut Criterion) {
     c.bench_function("global_relabel_roadnet_tiny", |b| {
         b.iter(|| {
             let state = DeviceState::upload(&graph, &matching);
-            global_relabel(&gpu, &graph, &state).max_level
+            let (mode, exec) = (WorklistMode::DenseStamp, ExecMode::LaunchPerRound);
+            global_relabel(&gpu, &graph, &state, mode, exec, &StopCheck::never()).max_level
         })
     });
 }

@@ -113,10 +113,10 @@ pub fn usage() -> String {
      [--algorithms <spec,...>] [--json <path>]\n\
      algorithm specs: G-PR-First|G-PR-NoShr|G-PR-Shr[@adaptive:<k>|@fix:<k>], \
      G-HK, G-HKDW, PR[@<k>], PFP, HK, HKDW, P-DBFS[@<threads>]\n\
-     GPU specs accept a worklist suffix +dense|+compacted|+queue|+blocked \
-     (e.g. G-PR-Shr@adaptive:0.7+queue, G-HKDW+blocked) and a final \
+     GPU specs accept a worklist suffix +dense|+compacted|+queue \
+     (e.g. G-PR-Shr@adaptive:0.7+queue, G-HKDW+queue) and a final \
      execution-mode suffix @launch|@resident \
-     (e.g. G-PR-Shr@adaptive:0.7+blocked@resident); \
+     (e.g. G-PR-Shr@adaptive:0.7+queue@resident); \
      see gpm-bench --list-algorithms for the full grammar"
         .to_string()
 }
@@ -133,7 +133,7 @@ pub fn label_grammar() -> String {
          \u{20} families:  G-PR-First | G-PR-NoShr | G-PR-Shr  \
          (strategy @adaptive:<k> | @fix:<k>, default @adaptive:0.7)\n\
          \u{20}            G-HK | G-HKDW | PR[@<k>] | PFP | HK | HKDW | P-DBFS[@<threads>]\n\
-         \u{20} worklist (GPU only):  +dense | +compacted | +queue | +blocked  \
+         \u{20} worklist (GPU only):  +dense | +compacted | +queue  \
          (default: the family's paper representation, printed suffix-free)\n\
          \u{20} exec (GPU only):  @launch (default: one kernel launch per round) | \
          @resident (persistent megakernel round loop behind the device's \
@@ -242,8 +242,7 @@ mod tests {
 
     #[test]
     fn parses_worklist_mode_suffixes() {
-        let o =
-            parse(args(&["--algorithms", "G-PR-Shr@adaptive:0.7+queue,G-HKDW+blocked"])).unwrap();
+        let o = parse(args(&["--algorithms", "G-PR-Shr@adaptive:0.7+queue,G-HKDW+queue"])).unwrap();
         let algs = o.algorithms.unwrap();
         assert_eq!(
             algs[0],
@@ -253,7 +252,7 @@ mod tests {
         assert_eq!(
             algs[1],
             gpm_core::solver::Algorithm::ghk(gpm_core::GhkVariant::Hkdw)
-                .with_worklist(gpm_core::WorklistMode::BlockedQueue)
+                .with_worklist(gpm_core::WorklistMode::AtomicQueue)
         );
         // Junk suffixes are rejected with a parse error.
         assert!(parse(args(&["--algorithms", "G-PR-Shr+stack"])).is_err());
@@ -262,16 +261,14 @@ mod tests {
 
     #[test]
     fn parses_exec_mode_suffixes() {
-        let o = parse(args(&[
-            "--algorithms",
-            "G-PR-Shr@adaptive:0.7+blocked@resident,G-HKDW@resident",
-        ]))
-        .unwrap();
+        let o =
+            parse(args(&["--algorithms", "G-PR-Shr@adaptive:0.7+queue@resident,G-HKDW@resident"]))
+                .unwrap();
         let algs = o.algorithms.unwrap();
         assert_eq!(
             algs[0],
             gpm_core::solver::Algorithm::gpr_default()
-                .with_worklist(gpm_core::WorklistMode::BlockedQueue)
+                .with_worklist(gpm_core::WorklistMode::AtomicQueue)
                 .with_exec(gpm_core::ExecMode::Persistent)
         );
         assert_eq!(
@@ -296,8 +293,8 @@ mod tests {
                 labels.push(line.trim());
             }
         }
-        // 5 GPU families × 4 worklist modes × 2 exec modes + 5 CPU labels.
-        assert_eq!(labels.len(), 45, "{grammar}");
+        // 5 GPU families × 3 worklist modes × 2 exec modes + 5 CPU labels.
+        assert_eq!(labels.len(), 35, "{grammar}");
         for label in labels {
             let alg: Algorithm = label.parse().unwrap_or_else(|e| panic!("{label}: {e}"));
             // Default suffixes are allowed to vanish when re-printed, but

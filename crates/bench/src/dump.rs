@@ -5,7 +5,7 @@
 //! * **cells** — the canonical sweep: every Table I family (one
 //!   representative instance each, [`mini_suite`]) × the paper's
 //!   comparison algorithms, with the GPU algorithms expanded over all
-//!   four worklist modes (`dense`, `compacted`, `queue`, `blocked`) and
+//!   three worklist modes (`dense`, `compacted`, `queue`) and
 //!   both execution modes (launch-per-round and the persistent
 //!   `@resident` megakernel loop, keyed apart by the label suffix).  GPU
 //!   cells
@@ -62,7 +62,7 @@ pub struct BenchCell {
     /// persistent megakernel loop — persistent cells are distinct keys in
     /// the regression diff).
     pub algorithm: String,
-    /// Worklist mode (`dense` / `compacted` / `queue` / `blocked`) or
+    /// Worklist mode (`dense` / `compacted` / `queue`) or
     /// `host` for CPU algorithms.
     pub worklist: String,
     /// Comparable seconds: modelled device time for GPU cells, host
@@ -724,16 +724,16 @@ mod tests {
     fn sweep_emits_pinned_gpu_cells_for_every_worklist_and_exec_mode() {
         let specs = vec![instances::by_name("amazon0505").unwrap()];
         let cells = sweep_cells(&specs, Scale::Tiny);
-        // 2 GPU algorithms × 4 worklist modes × 2 exec modes + 2 CPU
+        // 2 GPU algorithms × 3 worklist modes × 2 exec modes + 2 CPU
         // algorithms.
-        assert_eq!(cells.len(), 18);
-        assert_eq!(cells.iter().filter(|c| c.pinned).count(), 16);
+        assert_eq!(cells.len(), 14);
+        assert_eq!(cells.iter().filter(|c| c.pinned).count(), 12);
         for mode in WorklistMode::all() {
             assert_eq!(cells.iter().filter(|c| c.worklist == mode.label()).count(), 4, "{mode}");
         }
         // Persistent cells are keyed apart by the `@resident` suffix; the
         // launch-per-round cells keep their historical suffix-free keys.
-        assert_eq!(cells.iter().filter(|c| c.algorithm.ends_with("@resident")).count(), 8);
+        assert_eq!(cells.iter().filter(|c| c.algorithm.ends_with("@resident")).count(), 6);
         // The dump round-trips through serde_json and keeps its cell keys.
         let json = serde_json::to_string(&Value::Map(vec![(
             "cells".to_string(),
@@ -741,26 +741,26 @@ mod tests {
         )]))
         .unwrap();
         let parsed: Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(pinned_cells(&parsed).unwrap().len(), 16);
+        assert_eq!(pinned_cells(&parsed).unwrap().len(), 12);
     }
 
     #[test]
     fn delta_sweep_is_deterministic_and_covers_every_fraction_and_mode() {
         let specs = vec![instances::by_name("amazon0505").unwrap()];
         let (cells, comparisons) = sweep_delta(&specs, Scale::Tiny);
-        // 4 churn fractions × 4 worklist modes × {cold, resolve}.
-        assert_eq!(cells.len(), 32);
+        // 4 churn fractions × 3 worklist modes × {cold, resolve}.
+        assert_eq!(cells.len(), 24);
         assert!(cells.iter().all(|c| c.pinned), "delta cells are all pinned");
-        assert_eq!(comparisons.len(), 16);
+        assert_eq!(comparisons.len(), 12);
         for (fraction, label) in DELTA_FRACTIONS {
             assert_eq!(
                 comparisons.iter().filter(|c| c.churn_fraction == fraction).count(),
-                4,
+                3,
                 "{label}"
             );
             assert_eq!(
                 cells.iter().filter(|c| c.instance.ends_with(&format!("+d{label}"))).count(),
-                8,
+                6,
                 "{label}"
             );
         }

@@ -10,7 +10,7 @@
 
 use crate::cancel::SolveCtx;
 use crate::error::SolveError;
-use crate::ghk::{self, GhkVariant, GhkWorkspace};
+use crate::ghk::{self, GhkConfig, GhkWorkspace};
 use crate::gpr::{self, GprConfig, GprWorkspace};
 use crate::solver::Algorithm;
 use gpm_cpu::{
@@ -90,9 +90,7 @@ pub fn engine_for_tuned(
         }),
         Algorithm::GpuHopcroftKarp(variant, worklist, exec) => Box::new(GhkEngine {
             algorithm,
-            variant,
-            worklist,
-            exec,
+            config: GhkConfig { variant, worklist, exec },
             workspace: GhkWorkspace::new(),
         }),
         Algorithm::SequentialPushRelabel(k) => Box::new(PrEngine {
@@ -127,7 +125,7 @@ impl Engine for GprEngine {
     ) -> Result<EngineOutput, SolveError> {
         let device = ctx.require_device(&self.algorithm)?;
         let stop = ctx.stop.stop_check();
-        let r = gpr::run_with_stop(device, graph, initial, self.config, &mut self.workspace, &stop);
+        let r = gpr::run(device, graph, initial, self.config, &mut self.workspace, &stop);
         if r.stats.stopped {
             return Err(ctx.stop.stop_error(r.stats.loops, r.matching.cardinality()));
         }
@@ -142,9 +140,7 @@ impl Engine for GprEngine {
 /// G-HK / G-HKDW with a warm device workspace.
 struct GhkEngine {
     algorithm: Algorithm,
-    variant: GhkVariant,
-    worklist: gpm_gpu::WorklistMode,
-    exec: gpm_gpu::ExecMode,
+    config: GhkConfig,
     workspace: GhkWorkspace,
 }
 
@@ -161,16 +157,7 @@ impl Engine for GhkEngine {
     ) -> Result<EngineOutput, SolveError> {
         let device = ctx.require_device(&self.algorithm)?;
         let stop = ctx.stop.stop_check();
-        let r = ghk::run_with_exec_stop(
-            device,
-            graph,
-            initial,
-            self.variant,
-            self.worklist,
-            self.exec,
-            &mut self.workspace,
-            &stop,
-        );
+        let r = ghk::run(device, graph, initial, self.config, &mut self.workspace, &stop);
         if r.stats.stopped {
             return Err(ctx.stop.stop_error(r.stats.phases, r.matching.cardinality()));
         }
@@ -286,6 +273,7 @@ impl Engine for PdbfsEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ghk::GhkVariant;
     use crate::strategy::GrStrategy;
     use gpm_graph::gen;
     use gpm_graph::heuristics::cheap_matching;

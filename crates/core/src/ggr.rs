@@ -16,8 +16,8 @@
 //! The BFS frontier itself is managed by the shared [`Worklist`] subsystem:
 //! the default [`WorklistMode::DenseStamp`] reproduces the paper's full-grid
 //! level-synchronous scan exactly, while the compacted and atomic-queue
-//! representations launch only over the frontier rows
-//! ([`global_relabel_with`]).
+//! representations launch only over the frontier rows (the `mode` argument
+//! of [`global_relabel`]).
 
 use crate::device::{DeviceState, MU_UNMATCHED};
 use crate::roundloop::{drive_rounds, resident_scope, RoundOutcome};
@@ -30,7 +30,6 @@ const GGR_WORKLIST_KERNELS: WorklistKernels = WorklistKernels {
     compact_count: "G-GR-WL-COMPACT",
     compact_scatter: "G-GR-WL-SCATTER",
     refill: "G-GR-WL-REFILL",
-    stitch: "G-GR-WL-STITCH",
 };
 
 /// Result of one global relabeling pass.
@@ -48,53 +47,22 @@ pub struct GlobalRelabelOutcome {
     pub stopped: bool,
 }
 
-/// Runs `G-GR` on the device, overwriting `ψ` with exact distances, with the
-/// paper's dense frontier representation.
-pub fn global_relabel(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    state: &DeviceState,
-) -> GlobalRelabelOutcome {
-    global_relabel_with(gpu, graph, state, WorklistMode::DenseStamp)
-}
-
-/// Runs `G-GR` with an explicit frontier representation.  All modes write
-/// identical labels; they differ in how the row frontier of each BFS level
-/// is stored and launched over.
-pub fn global_relabel_with(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    state: &DeviceState,
-    mode: WorklistMode,
-) -> GlobalRelabelOutcome {
-    global_relabel_with_stop(gpu, graph, state, mode, &StopCheck::never())
-}
-
-/// Runs `G-GR` like [`global_relabel_with`], polling `stop` between BFS
-/// levels.  A long relabeling (the deepest alternating path can span the
-/// whole graph) is abandoned at level granularity with
-/// [`GlobalRelabelOutcome::stopped`] set.
-pub fn global_relabel_with_stop(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    state: &DeviceState,
-    mode: WorklistMode,
-    stop: &StopCheck,
-) -> GlobalRelabelOutcome {
-    global_relabel_with_exec(gpu, graph, state, mode, ExecMode::LaunchPerRound, stop)
-}
-
-/// Runs `G-GR` like [`global_relabel_with_stop`] under an explicit
-/// [`ExecMode`].  Under [`ExecMode::Persistent`] the whole BFS — the init
-/// kernels and every level — executes inside one
-/// [`gpm_gpu::VirtualGpu::resident`] scope, so each level pays a software
-/// global-barrier crossing instead of a kernel launch.
+/// Runs `G-GR` on the device, overwriting `ψ` with exact distances.
 ///
-/// This is the entry point for a *standalone* persistent relabeling.  When
-/// G-GR runs inside a persistent G-PR solve, the engine passes
-/// [`ExecMode::LaunchPerRound`] here instead: the kernels then inherit the
-/// enclosing solve's resident scope (nesting scopes is an error).
-pub fn global_relabel_with_exec(
+/// * `mode` picks the frontier representation.  All modes write identical
+///   labels; they differ in how the row frontier of each BFS level is stored
+///   and launched over.  [`WorklistMode::DenseStamp`] is the paper's scheme.
+/// * Under [`ExecMode::Persistent`] the whole BFS — the init kernels and
+///   every level — executes inside one [`gpm_gpu::VirtualGpu::resident`]
+///   scope, so each level pays a software global-barrier crossing instead of
+///   a kernel launch.  That is for a *standalone* persistent relabeling:
+///   when G-GR runs inside a persistent G-PR solve, the engine passes
+///   [`ExecMode::LaunchPerRound`] here instead, and the kernels inherit the
+///   enclosing solve's resident scope (nesting scopes is an error).
+/// * `stop` is polled between BFS levels.  A long relabeling (the deepest
+///   alternating path can span the whole graph) is abandoned at level
+///   granularity with [`GlobalRelabelOutcome::stopped`] set.
+pub fn global_relabel(
     gpu: &VirtualGpu,
     graph: &BipartiteCsr,
     state: &DeviceState,
@@ -178,6 +146,21 @@ mod tests {
     use gpm_graph::heuristics::cheap_matching;
     use gpm_graph::{gen, BipartiteCsr, Matching};
 
+    /// The paper's relabeling: dense frontier, one launch per level, no stop.
+    fn dense(gpu: &VirtualGpu, g: &BipartiteCsr, state: &DeviceState) -> GlobalRelabelOutcome {
+        launched(gpu, g, state, WorklistMode::DenseStamp)
+    }
+
+    /// One launch per level with the given frontier representation.
+    fn launched(
+        gpu: &VirtualGpu,
+        g: &BipartiteCsr,
+        state: &DeviceState,
+        mode: WorklistMode,
+    ) -> GlobalRelabelOutcome {
+        global_relabel(gpu, g, state, mode, ExecMode::LaunchPerRound, &StopCheck::never())
+    }
+
     fn exact_labels_host(g: &BipartiteCsr, m: &Matching) -> (Vec<u32>, Vec<u32>) {
         // Reference BFS on the host (same as the sequential GR).
         let unreachable = (g.num_rows() + g.num_cols()) as u32;
@@ -214,7 +197,7 @@ mod tests {
             let matching = cheap_matching(&g);
             for gpu in [VirtualGpu::sequential(), VirtualGpu::parallel()] {
                 let state = DeviceState::upload(&g, &matching);
-                global_relabel(&gpu, &g, &state);
+                dense(&gpu, &g, &state);
                 let (er, ec) = exact_labels_host(&g, &matching);
                 assert_eq!(state.psi_row.to_vec(), er, "rows, seed {seed}");
                 assert_eq!(state.psi_col.to_vec(), ec, "cols, seed {seed}");
@@ -229,11 +212,11 @@ mod tests {
             let matching = cheap_matching(&g);
             let (er, ec) = exact_labels_host(&g, &matching);
             for gpu in [VirtualGpu::sequential(), VirtualGpu::parallel()] {
-                for mode in gpm_gpu::WorklistMode::all() {
+                for mode in WorklistMode::all() {
                     let state = DeviceState::upload(&g, &matching);
-                    let dense_out = global_relabel(&gpu, &g, &state);
+                    let dense_out = dense(&gpu, &g, &state);
                     let state = DeviceState::upload(&g, &matching);
-                    let out = global_relabel_with(&gpu, &g, &state, mode);
+                    let out = launched(&gpu, &g, &state, mode);
                     assert_eq!(state.psi_row.to_vec(), er, "{mode}, seed {seed}");
                     assert_eq!(state.psi_col.to_vec(), ec, "{mode}, seed {seed}");
                     // The level count (and hence maxLevel, which feeds the
@@ -251,10 +234,10 @@ mod tests {
         let matching = cheap_matching(&g);
         let dense_gpu = VirtualGpu::sequential();
         let state = DeviceState::upload(&g, &matching);
-        global_relabel(&dense_gpu, &g, &state);
+        dense(&dense_gpu, &g, &state);
         let queue_gpu = VirtualGpu::sequential();
         let state = DeviceState::upload(&g, &matching);
-        global_relabel_with(&queue_gpu, &g, &state, gpm_gpu::WorklistMode::AtomicQueue);
+        launched(&queue_gpu, &g, &state, WorklistMode::AtomicQueue);
         let dense_threads = dense_gpu.stats().kernels["G-GR-KRNL"].total_threads;
         let queue_threads = queue_gpu.stats().kernels["G-GR-KRNL"].total_threads;
         assert!(
@@ -268,7 +251,7 @@ mod tests {
         let g = gen::uniform_random(20, 20, 80, 9).unwrap();
         let gpu = VirtualGpu::sequential();
         let state = DeviceState::upload(&g, &Matching::empty_for(&g));
-        let out = global_relabel(&gpu, &g, &state);
+        let out = dense(&gpu, &g, &state);
         // every row unmatched → ψ(u) = 0; every column with a neighbor → 1
         for u in 0..20 {
             assert_eq!(state.psi_row.get(u), 0);
@@ -290,7 +273,7 @@ mod tests {
         m.match_pair(1, 1);
         let gpu = VirtualGpu::sequential();
         let state = DeviceState::upload(&g, &m);
-        let out = global_relabel(&gpu, &g, &state);
+        let out = dense(&gpu, &g, &state);
         assert_eq!(state.psi_row.to_vec(), vec![4, 4]);
         assert_eq!(state.psi_col.to_vec(), vec![4, 4]);
         assert_eq!(out.max_level, 2); // loop ran once with no additions
@@ -306,7 +289,7 @@ mod tests {
         m.match_pair(1, 2);
         let gpu = VirtualGpu::sequential();
         let state = DeviceState::upload(&g, &m);
-        let out = global_relabel(&gpu, &g, &state);
+        let out = dense(&gpu, &g, &state);
         // r2 = 0, c2 = 1, r1 = 2, c1 = 3, r0 = 4, c0 = 5
         assert_eq!(state.psi_row.to_vec(), vec![4, 2, 0]);
         assert_eq!(state.psi_col.to_vec(), vec![5, 3, 1]);
@@ -335,7 +318,7 @@ mod tests {
         let gpu = VirtualGpu::sequential();
 
         let state = DeviceState::upload(&g, &m);
-        let full = global_relabel(&gpu, &g, &state);
+        let full = dense(&gpu, &g, &state);
         assert!(!full.stopped);
         assert!(full.levels > 3, "need a deep BFS for this test, got {}", full.levels);
 
@@ -343,7 +326,14 @@ mod tests {
         let polls = Arc::new(AtomicU32::new(0));
         let p = Arc::clone(&polls);
         let stop = StopCheck::from_fn(move || p.fetch_add(1, Ordering::Relaxed) >= 3);
-        let out = global_relabel_with_stop(&gpu, &g, &state, WorklistMode::DenseStamp, &stop);
+        let out = global_relabel(
+            &gpu,
+            &g,
+            &state,
+            WorklistMode::DenseStamp,
+            ExecMode::LaunchPerRound,
+            &stop,
+        );
         assert!(out.stopped);
         // Stopped within one level of the signal: exactly the polls that
         // returned `false` ran a level kernel.
@@ -360,11 +350,11 @@ mod tests {
             for mode in WorklistMode::all() {
                 let lpr_gpu = make_gpu();
                 let state = DeviceState::upload(&g, &matching);
-                let lpr = global_relabel_with(&lpr_gpu, &g, &state, mode);
+                let lpr = launched(&lpr_gpu, &g, &state, mode);
 
                 let gpu = make_gpu();
                 let state = DeviceState::upload(&g, &matching);
-                let out = global_relabel_with_exec(
+                let out = global_relabel(
                     &gpu,
                     &g,
                     &state,
@@ -393,7 +383,7 @@ mod tests {
         let g = gen::uniform_random(30, 30, 100, 2).unwrap();
         let gpu = VirtualGpu::sequential();
         let state = DeviceState::upload(&g, &cheap_matching(&g));
-        global_relabel(&gpu, &g, &state);
+        dense(&gpu, &g, &state);
         let stats = gpu.stats();
         assert_eq!(stats.launches_of("INITRELABEL_rows"), 1);
         assert_eq!(stats.launches_of("INITRELABEL_cols"), 1);

@@ -24,7 +24,7 @@
 //!   augmenting paths from the remaining unmatched *rows* before the next
 //!   BFS, mirroring HKDW's extra DFS set.
 //!
-//! The deviation (host-side commit) is documented in DESIGN.md; the paper's
+//! The host-side commit is a deviation from the original codes; the paper's
 //! own G-HK/G-HKDW resolve conflicts with re-traversals whose cost is of the
 //! same order.
 
@@ -44,7 +44,6 @@ const GHK_WORKLIST_KERNELS: WorklistKernels = WorklistKernels {
     compact_count: "G-HK-WL-COMPACT",
     compact_scatter: "G-HK-WL-SCATTER",
     refill: "G-HK-WL-REFILL",
-    stitch: "G-HK-WL-STITCH",
 };
 
 /// Which GPU augmenting-path baseline to run.
@@ -69,6 +68,42 @@ impl GhkVariant {
     /// dense per-level scan.  Used when no explicit mode is configured.
     pub fn default_worklist(&self) -> WorklistMode {
         WorklistMode::DenseStamp
+    }
+}
+
+/// Configuration of a G-HK / G-HKDW run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GhkConfig {
+    /// Which variant to run.
+    pub variant: GhkVariant,
+    /// How the BFS frontier is represented on the device; all
+    /// representations locate the same shortest augmenting paths.
+    pub worklist: WorklistMode,
+    /// How the phase loop executes.  Under [`ExecMode::Persistent`] the
+    /// whole loop — BFS levels, DFS kernels, commit charges, and the
+    /// Duff–Wiberg sweep — runs inside one
+    /// [`gpm_gpu::VirtualGpu::resident`] scope, so every per-phase kernel
+    /// crosses the software global barrier instead of paying a launch.
+    pub exec: ExecMode,
+}
+
+impl GhkConfig {
+    /// The original codes' configuration of `variant`: the dense BFS
+    /// frontier and one launch per round.
+    pub fn with_variant(variant: GhkVariant) -> Self {
+        Self { variant, worklist: variant.default_worklist(), exec: ExecMode::LaunchPerRound }
+    }
+
+    /// Same configuration but with an explicit frontier representation.
+    pub fn with_worklist(mut self, worklist: WorklistMode) -> Self {
+        self.worklist = worklist;
+        self
+    }
+
+    /// Same configuration but with an explicit execution mode.
+    pub fn with_exec(mut self, exec: ExecMode) -> Self {
+        self.exec = exec;
+        self
     }
 }
 
@@ -128,85 +163,21 @@ impl GhkWorkspace {
     }
 }
 
-/// Runs G-HK or G-HKDW on the virtual GPU, starting from `initial`, with a
-/// cold workspace and the default dense BFS frontier.
+/// Runs G-HK or G-HKDW on the virtual GPU, starting from `initial`.
+///
+/// `workspace` buffers from previous solves are reused wherever the graph
+/// shape allows.  `stop` is polled at every phase and between BFS levels.
+/// G-HK keeps µ consistent at all times, so a stopped run simply downloads
+/// the matching as it stands and returns with [`GhkRunStats::stopped`] set.
 pub fn run(
     gpu: &VirtualGpu,
     graph: &BipartiteCsr,
     initial: &Matching,
-    variant: GhkVariant,
-) -> GhkResult {
-    run_with(gpu, graph, initial, variant, &mut GhkWorkspace::new())
-}
-
-/// Runs G-HK or G-HKDW reusing `workspace` buffers from previous solves
-/// wherever the graph shape allows, with the default dense BFS frontier.
-pub fn run_with(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    variant: GhkVariant,
-    workspace: &mut GhkWorkspace,
-) -> GhkResult {
-    run_with_mode(gpu, graph, initial, variant, variant.default_worklist(), workspace)
-}
-
-/// Runs G-HK or G-HKDW with an explicit BFS-frontier representation (see
-/// [`WorklistMode`]); all representations locate the same shortest
-/// augmenting paths.
-pub fn run_with_mode(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    variant: GhkVariant,
-    mode: WorklistMode,
-    workspace: &mut GhkWorkspace,
-) -> GhkResult {
-    run_with_mode_stop(gpu, graph, initial, variant, mode, workspace, &StopCheck::never())
-}
-
-/// Runs G-HK / G-HKDW like [`run_with_mode`], polling `stop` at every phase
-/// and between BFS levels.  G-HK keeps µ consistent at all times, so a
-/// stopped run simply downloads the matching as it stands and returns with
-/// [`GhkRunStats::stopped`] set.
-pub fn run_with_mode_stop(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    variant: GhkVariant,
-    mode: WorklistMode,
+    config: GhkConfig,
     workspace: &mut GhkWorkspace,
     stop: &StopCheck,
 ) -> GhkResult {
-    run_with_exec_stop(
-        gpu,
-        graph,
-        initial,
-        variant,
-        mode,
-        ExecMode::LaunchPerRound,
-        workspace,
-        stop,
-    )
-}
-
-/// Runs G-HK / G-HKDW like [`run_with_mode_stop`] under an explicit
-/// [`ExecMode`].  Under [`ExecMode::Persistent`] the whole phase loop —
-/// BFS levels, DFS kernels, commit charges, and the Duff–Wiberg sweep —
-/// executes inside one [`gpm_gpu::VirtualGpu::resident`] scope, so every
-/// per-phase kernel crosses the software global barrier instead of paying a
-/// fresh launch.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_exec_stop(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    variant: GhkVariant,
-    mode: WorklistMode,
-    exec: ExecMode,
-    workspace: &mut GhkWorkspace,
-    stop: &StopCheck,
-) -> GhkResult {
+    let GhkConfig { variant, worklist: mode, exec } = config;
     let start = std::time::Instant::now();
     let base_stats = gpu.stats();
     let GhkWorkspace { state: state_slot, dist_col: dist_slot } = workspace;
@@ -602,11 +573,27 @@ mod tests {
     use gpm_graph::verify::{is_maximum, maximum_matching_cardinality};
     use gpm_graph::{gen, Matching};
 
+    /// A cold run that is never stopped.
+    fn solve(gpu: &VirtualGpu, g: &BipartiteCsr, init: &Matching, config: GhkConfig) -> GhkResult {
+        run(gpu, g, init, config, &mut GhkWorkspace::new(), &StopCheck::never())
+    }
+
+    /// A cold run of `variant` with the given frontier representation.
+    fn with_mode(
+        gpu: &VirtualGpu,
+        g: &BipartiteCsr,
+        init: &Matching,
+        variant: GhkVariant,
+        mode: WorklistMode,
+    ) -> GhkResult {
+        solve(gpu, g, init, GhkConfig::with_variant(variant).with_worklist(mode))
+    }
+
     fn check(g: &BipartiteCsr, gpu: &VirtualGpu) {
         let opt = maximum_matching_cardinality(g);
         let init = cheap_matching(g);
         for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
-            let r = run(gpu, g, &init, variant);
+            let r = solve(gpu, g, &init, GhkConfig::with_variant(variant));
             assert_eq!(
                 r.matching.cardinality(),
                 opt,
@@ -659,12 +646,13 @@ mod tests {
     fn empty_graph_and_perfect_initial() {
         let gpu = VirtualGpu::sequential();
         let g = BipartiteCsr::empty(5, 5);
-        let r = run(&gpu, &g, &Matching::empty_for(&g), GhkVariant::Hkdw);
+        let r =
+            solve(&gpu, &g, &Matching::empty_for(&g), GhkConfig::with_variant(GhkVariant::Hkdw));
         assert_eq!(r.matching.cardinality(), 0);
 
         let g = gen::planted_perfect(64, 0, 7).unwrap();
         let init = cheap_matching(&g);
-        let r = run(&gpu, &g, &init, GhkVariant::Hk);
+        let r = solve(&gpu, &g, &init, GhkConfig::with_variant(GhkVariant::Hk));
         assert_eq!(r.matching.cardinality(), 64);
         assert_eq!(r.stats.phases, 0);
     }
@@ -678,15 +666,17 @@ mod tests {
         for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
             for g in [&g1, &g2] {
                 let init = cheap_matching(g);
-                let warm = run_with(&gpu, g, &init, variant, &mut ws);
-                let cold = run(&gpu, g, &init, variant);
+                let config = GhkConfig::with_variant(variant);
+                let warm = run(&gpu, g, &init, config, &mut ws, &StopCheck::never());
+                let cold = solve(&gpu, g, &init, config);
                 assert_eq!(warm.matching.cardinality(), cold.matching.cardinality());
             }
             assert!(ws.is_warm_for(&g1));
         }
         let g3 = gen::uniform_random(20, 30, 100, 23).unwrap();
         assert!(!ws.is_warm_for(&g3));
-        let r = run_with(&gpu, &g3, &cheap_matching(&g3), GhkVariant::Hk, &mut ws);
+        let config = GhkConfig::with_variant(GhkVariant::Hk);
+        let r = run(&gpu, &g3, &cheap_matching(&g3), config, &mut ws, &StopCheck::never());
         assert_eq!(r.matching.cardinality(), maximum_matching_cardinality(&g3));
     }
 
@@ -699,8 +689,7 @@ mod tests {
                 let init = cheap_matching(&g);
                 for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
                     for mode in WorklistMode::all() {
-                        let mut ws = GhkWorkspace::new();
-                        let r = run_with_mode(&gpu, &g, &init, variant, mode, &mut ws);
+                        let r = with_mode(&gpu, &g, &init, variant, mode);
                         assert_eq!(
                             r.matching.cardinality(),
                             opt,
@@ -728,10 +717,7 @@ mod tests {
             for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
                 let runs: Vec<GhkRunStats> = WorklistMode::all()
                     .into_iter()
-                    .map(|mode| {
-                        run_with_mode(&gpu, &g, &init, variant, mode, &mut GhkWorkspace::new())
-                            .stats
-                    })
+                    .map(|mode| with_mode(&gpu, &g, &init, variant, mode).stats)
                     .collect();
                 for r in &runs[1..] {
                     assert_eq!(r.phases, runs[0].phases, "seed {seed}, {}", variant.label());
@@ -756,18 +742,9 @@ mod tests {
             let init = cheap_matching(&g);
             for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
                 for mode in WorklistMode::all() {
-                    let lpr =
-                        run_with_mode(&gpu, &g, &init, variant, mode, &mut GhkWorkspace::new());
-                    let per = run_with_exec_stop(
-                        &gpu,
-                        &g,
-                        &init,
-                        variant,
-                        mode,
-                        ExecMode::Persistent,
-                        &mut GhkWorkspace::new(),
-                        &StopCheck::never(),
-                    );
+                    let config = GhkConfig::with_variant(variant).with_worklist(mode);
+                    let lpr = solve(&gpu, &g, &init, config);
+                    let per = solve(&gpu, &g, &init, config.with_exec(ExecMode::Persistent));
                     let tag = format!("{} + {mode}, seed {seed}", variant.label());
                     assert_eq!(per.matching.cardinality(), opt, "{tag}");
                     per.matching.validate_against(&g).unwrap();
@@ -785,16 +762,10 @@ mod tests {
         let gpu = VirtualGpu::parallel();
         let g = gen::uniform_random(200, 200, 900, 31).unwrap();
         let init = cheap_matching(&g);
-        let r = run_with_exec_stop(
-            &gpu,
-            &g,
-            &init,
-            GhkVariant::Hkdw,
-            WorklistMode::BlockedQueue,
-            ExecMode::Persistent,
-            &mut GhkWorkspace::new(),
-            &StopCheck::never(),
-        );
+        let config = GhkConfig::with_variant(GhkVariant::Hkdw)
+            .with_worklist(WorklistMode::AtomicQueue)
+            .with_exec(ExecMode::Persistent);
+        let r = solve(&gpu, &g, &init, config);
         assert_eq!(r.matching.cardinality(), maximum_matching_cardinality(&g));
         // One resident entry launch; every per-phase kernel became a round.
         assert_eq!(r.stats.device.total_launches(), 1);
@@ -809,23 +780,9 @@ mod tests {
         let g = gen::uniform_random(400, 400, 2000, 9).unwrap();
         let init = cheap_matching(&g);
         let dense_gpu = VirtualGpu::sequential();
-        let dense = run_with_mode(
-            &dense_gpu,
-            &g,
-            &init,
-            GhkVariant::Hk,
-            WorklistMode::DenseStamp,
-            &mut GhkWorkspace::new(),
-        );
+        let dense = with_mode(&dense_gpu, &g, &init, GhkVariant::Hk, WorklistMode::DenseStamp);
         let queue_gpu = VirtualGpu::sequential();
-        let queue = run_with_mode(
-            &queue_gpu,
-            &g,
-            &init,
-            GhkVariant::Hk,
-            WorklistMode::AtomicQueue,
-            &mut GhkWorkspace::new(),
-        );
+        let queue = with_mode(&queue_gpu, &g, &init, GhkVariant::Hk, WorklistMode::AtomicQueue);
         assert_eq!(dense.matching.cardinality(), queue.matching.cardinality());
         let dense_threads = dense.stats.device.kernels["G-HK-BFS-KRNL"].total_threads;
         let queue_threads = queue.stats.device.kernels["G-HK-BFS-KRNL"].total_threads;
@@ -846,15 +803,8 @@ mod tests {
             let polls = Arc::new(AtomicU64::new(0));
             let p = Arc::clone(&polls);
             let stop = StopCheck::from_fn(move || p.fetch_add(1, Ordering::Relaxed) >= 2);
-            let r = run_with_mode_stop(
-                &gpu,
-                &g,
-                &init,
-                variant,
-                variant.default_worklist(),
-                &mut GhkWorkspace::new(),
-                &stop,
-            );
+            let config = GhkConfig::with_variant(variant);
+            let r = run(&gpu, &g, &init, config, &mut GhkWorkspace::new(), &stop);
             assert!(r.stats.stopped, "{}", variant.label());
             // Every phase polls at least twice (phase head + first BFS
             // level), so a signal tripped at poll 2 stops within phase 1.
@@ -866,15 +816,8 @@ mod tests {
 
         // A pre-tripped stop performs no phase at all.
         let stop = StopCheck::from_fn(|| true);
-        let r = run_with_mode_stop(
-            &gpu,
-            &g,
-            &init,
-            GhkVariant::Hk,
-            WorklistMode::DenseStamp,
-            &mut GhkWorkspace::new(),
-            &stop,
-        );
+        let config = GhkConfig::with_variant(GhkVariant::Hk);
+        let r = run(&gpu, &g, &init, config, &mut GhkWorkspace::new(), &stop);
         assert!(r.stats.stopped);
         assert_eq!(r.stats.phases, 0);
         assert_eq!(r.matching.cardinality(), init.cardinality());
@@ -884,7 +827,7 @@ mod tests {
     fn stats_record_bfs_kernels() {
         let gpu = VirtualGpu::sequential();
         let g = gen::uniform_random(150, 150, 700, 4).unwrap();
-        let r = run(&gpu, &g, &cheap_matching(&g), GhkVariant::Hkdw);
+        let r = solve(&gpu, &g, &cheap_matching(&g), GhkConfig::with_variant(GhkVariant::Hkdw));
         assert!(r.stats.device.launches_of("G-HK-BFS-KRNL") >= 1);
         assert!(r.stats.device.launches_of("G-HK-DFS-KRNL") >= r.stats.phases);
         assert_eq!(r.stats.variant, "G-HKDW");

@@ -18,12 +18,11 @@
 //! All kernels are lock- and atomic-free: device words are written with plain
 //! (relaxed) stores, races are benign by the paper's argument, and remaining
 //! matching inconsistencies are repaired by `FIXMATCHING` at the very end.
-//! (The optional queue representations are the one exception:
+//! (The optional queue representation is the one exception:
 //! [`WorklistMode::AtomicQueue`] appends to the next active list with an
 //! atomic fetch-add — the worklist-centric design of the GPU BFS
-//! literature — and [`WorklistMode::BlockedQueue`] amortizes that fetch-add
-//! over cache-line-sized slot blocks; both skip the per-iteration
-//! `G-PR-INITKRNL` scan entirely.)
+//! literature — and skips the per-iteration `G-PR-INITKRNL` scan
+//! entirely.)
 //!
 //! The active-column machinery itself — the two-array `A_c`/`A_p` scheme,
 //! the `iA` stamps, and the `G-PR-SHRKRNL` compaction — lives in the shared
@@ -32,7 +31,7 @@
 //! [`GprConfig::worklist`].
 
 use crate::device::{DeviceState, MU_UNMATCHABLE, MU_UNMATCHED};
-use crate::ggr::global_relabel_with_stop;
+use crate::ggr::global_relabel;
 use crate::roundloop::{drive_rounds, resident_scope, subtract_device_stats, RoundOutcome};
 use crate::strategy::GrStrategy;
 use gpm_gpu::{
@@ -48,7 +47,6 @@ const GPR_WORKLIST_KERNELS: WorklistKernels = WorklistKernels {
     compact_count: "G-PR-SHRKRNL_count",
     compact_scatter: "G-PR-SHRKRNL_scatter",
     refill: "G-PR-WL-REFILL",
-    stitch: "G-PR-WL-STITCH",
 };
 
 /// Which G-PR variant to run.
@@ -183,8 +181,7 @@ impl Default for GprConfig {
 pub struct GprRunStats {
     /// Variant label.
     pub variant: &'static str,
-    /// Worklist-representation label (`dense`, `compacted`, `queue`,
-    /// `blocked`).
+    /// Worklist-representation label (`dense`, `compacted`, `queue`).
     pub worklist: &'static str,
     /// Execution-mode label (`launch` or `resident`).
     pub exec: &'static str,
@@ -197,8 +194,7 @@ pub struct GprRunStats {
     /// Number of shrink (list compaction) passes performed.
     pub shrinks: u64,
     /// Total atomic read-modify-write operations charged during this run
-    /// (queue-tail claims plus the executor's chunk-cursor claims) — the
-    /// contention the blocked representation exists to amortize.
+    /// (queue-tail claims plus the executor's chunk-cursor claims).
     pub atomics: u64,
     /// Device statistics accumulated during this run (kernel launches,
     /// modelled time, wall time).
@@ -248,34 +244,15 @@ impl GprWorkspace {
 }
 
 /// Runs G-PR on the given virtual GPU, starting from `initial` (normally the
-/// cheap greedy matching, as in the paper), with a cold workspace.
+/// cheap greedy matching, as in the paper).
+///
+/// `workspace` buffers from previous solves are reused wherever the graph
+/// shape allows.  `stop` is polled at every main-loop round (and between
+/// global-relabeling BFS levels).  When it fires, the run finishes its
+/// current round, repairs the matching with `FIXMATCHING`, and returns with
+/// [`GprRunStats::stopped`] set — the matching is a valid partial matching
+/// of whatever cardinality was reached.
 pub fn run(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    config: GprConfig,
-) -> GprResult {
-    run_with(gpu, graph, initial, config, &mut GprWorkspace::new())
-}
-
-/// Runs G-PR reusing `workspace` buffers from previous solves wherever the
-/// graph shape allows.
-pub fn run_with(
-    gpu: &VirtualGpu,
-    graph: &BipartiteCsr,
-    initial: &Matching,
-    config: GprConfig,
-    workspace: &mut GprWorkspace,
-) -> GprResult {
-    run_with_stop(gpu, graph, initial, config, workspace, &StopCheck::never())
-}
-
-/// Runs G-PR like [`run_with`], polling `stop` at every main-loop round
-/// (and between global-relabeling BFS levels).  When the check fires, the
-/// run finishes its current round, repairs the matching with `FIXMATCHING`,
-/// and returns with [`GprRunStats::stopped`] set — the matching is a valid
-/// partial matching of whatever cardinality was reached.
-pub fn run_with_stop(
     gpu: &VirtualGpu,
     graph: &BipartiteCsr,
     initial: &Matching,
@@ -413,7 +390,8 @@ fn run_first(
             "G-PR-First exceeded the safety iteration cap ({max_loops}); this indicates a bug"
         );
         if loop_iter == iter_gr {
-            let outcome = global_relabel_with_stop(gpu, graph, state, config.worklist, stop);
+            let outcome =
+                global_relabel(gpu, graph, state, config.worklist, ExecMode::LaunchPerRound, stop);
             stats.global_relabels += 1;
             if outcome.stopped {
                 return RoundOutcome::Stopped;
@@ -474,7 +452,8 @@ fn run_active_list(
             "G-PR active-list variant exceeded the safety iteration cap ({max_loops}); this indicates a bug"
         );
         if loop_iter == iter_gr {
-            let outcome = global_relabel_with_stop(gpu, graph, state, config.worklist, stop);
+            let outcome =
+                global_relabel(gpu, graph, state, config.worklist, ExecMode::LaunchPerRound, stop);
             stats.global_relabels += 1;
             if outcome.stopped {
                 return RoundOutcome::Stopped;
@@ -543,6 +522,11 @@ mod tests {
     use gpm_graph::verify::{is_maximum, maximum_matching_cardinality};
     use gpm_graph::{gen, Matching};
 
+    /// A cold run that is never stopped.
+    fn solve(gpu: &VirtualGpu, g: &BipartiteCsr, init: &Matching, config: GprConfig) -> GprResult {
+        run(gpu, g, init, config, &mut GprWorkspace::new(), &StopCheck::never())
+    }
+
     fn all_variants() -> Vec<GprVariant> {
         vec![GprVariant::First, GprVariant::ActiveList, GprVariant::Shrink]
     }
@@ -551,7 +535,7 @@ mod tests {
         let opt = maximum_matching_cardinality(g);
         let init = cheap_matching(g);
         for variant in all_variants() {
-            let result = run(gpu, g, &init, GprConfig::with_variant(variant));
+            let result = solve(gpu, g, &init, GprConfig::with_variant(variant));
             assert_eq!(
                 result.matching.cardinality(),
                 opt,
@@ -610,7 +594,7 @@ mod tests {
         let g = gen::planted_perfect(256, 768, 11).unwrap();
         let init = cheap_matching(&g);
         for variant in all_variants() {
-            let r = run(&gpu, &g, &init, GprConfig::with_variant(variant));
+            let r = solve(&gpu, &g, &init, GprConfig::with_variant(variant));
             assert_eq!(r.matching.cardinality(), 256, "{}", variant.label());
         }
     }
@@ -621,7 +605,7 @@ mod tests {
         let g = gen::uniform_random(50, 50, 250, 5).unwrap();
         let opt = maximum_matching_cardinality(&g);
         for variant in all_variants() {
-            let r = run(&gpu, &g, &Matching::empty_for(&g), GprConfig::with_variant(variant));
+            let r = solve(&gpu, &g, &Matching::empty_for(&g), GprConfig::with_variant(variant));
             assert_eq!(r.matching.cardinality(), opt, "{}", variant.label());
         }
     }
@@ -639,7 +623,7 @@ mod tests {
         let gpu = VirtualGpu::sequential();
         let g = BipartiteCsr::empty(6, 6);
         for variant in all_variants() {
-            let r = run(&gpu, &g, &Matching::empty_for(&g), GprConfig::with_variant(variant));
+            let r = solve(&gpu, &g, &Matching::empty_for(&g), GprConfig::with_variant(variant));
             assert_eq!(r.matching.cardinality(), 0);
         }
         // A graph whose cheap matching is already perfect: the active-list
@@ -647,7 +631,7 @@ mod tests {
         let g = gen::planted_perfect(64, 0, 1).unwrap();
         let init = cheap_matching(&g);
         assert_eq!(init.cardinality(), 64);
-        let r = run(&gpu, &g, &init, GprConfig::with_variant(GprVariant::Shrink));
+        let r = solve(&gpu, &g, &init, GprConfig::with_variant(GprVariant::Shrink));
         assert_eq!(r.matching.cardinality(), 64);
     }
 
@@ -660,7 +644,7 @@ mod tests {
         for strategy in crate::strategy::figure1_strategies() {
             for variant in all_variants() {
                 let config = GprConfig { variant, strategy, ..GprConfig::paper_default() };
-                let r = run(&gpu, &g, &init, config);
+                let r = solve(&gpu, &g, &init, config);
                 assert_eq!(
                     r.matching.cardinality(),
                     opt,
@@ -677,7 +661,7 @@ mod tests {
         let gpu = VirtualGpu::sequential();
         let g = gen::uniform_random(200, 200, 900, 14).unwrap();
         let init = cheap_matching(&g);
-        let r = run(&gpu, &g, &init, GprConfig::with_variant(GprVariant::First));
+        let r = solve(&gpu, &g, &init, GprConfig::with_variant(GprVariant::First));
         assert!(r.stats.global_relabels >= 1);
         assert!(r.stats.loops >= 1);
         assert!(r.stats.device.launches_of("G-PR-KRNL") >= 1);
@@ -685,7 +669,7 @@ mod tests {
         assert!(r.stats.device.modelled_time_secs() > 0.0);
         assert_eq!(r.stats.variant, "G-PR-First");
 
-        let r = run(&gpu, &g, &init, GprConfig::with_variant(GprVariant::ActiveList));
+        let r = solve(&gpu, &g, &init, GprConfig::with_variant(GprVariant::ActiveList));
         assert!(r.stats.device.launches_of("G-PR-PUSHKRNL") >= 1);
         assert!(r.stats.device.launches_of("G-PR-INITKRNL") >= 1);
         assert_eq!(r.stats.device.launches_of("G-PR-SHRKRNL_count"), 0);
@@ -699,7 +683,7 @@ mod tests {
         let g = gen::rmat(gen::RmatParams::graph500(11, 4), 4).unwrap();
         let init = cheap_matching(&g);
         let config = GprConfig::with_variant(GprVariant::Shrink);
-        let r = run(&gpu, &g, &init, config);
+        let r = solve(&gpu, &g, &init, config);
         assert!(r.stats.shrinks >= 1, "expected at least one shrink pass");
         assert!(r.stats.device.launches_of("G-PR-SHRKRNL_count") >= 1);
         assert_eq!(r.matching.cardinality(), maximum_matching_cardinality(&g));
@@ -710,8 +694,8 @@ mod tests {
         let gpu = VirtualGpu::sequential();
         let g = gen::rmat(gen::RmatParams::web_like(10, 4), 6).unwrap();
         let init = cheap_matching(&g);
-        let first = run(&gpu, &g, &init, GprConfig::with_variant(GprVariant::First));
-        let active = run(&gpu, &g, &init, GprConfig::with_variant(GprVariant::ActiveList));
+        let first = solve(&gpu, &g, &init, GprConfig::with_variant(GprVariant::First));
+        let active = solve(&gpu, &g, &init, GprConfig::with_variant(GprVariant::ActiveList));
         let first_threads = first.stats.device.kernels["G-PR-KRNL"].total_threads;
         let active_threads = active.stats.device.kernels["G-PR-PUSHKRNL"].total_threads;
         assert!(
@@ -730,7 +714,7 @@ mod tests {
                 for variant in [GprVariant::ActiveList, GprVariant::Shrink] {
                     for mode in WorklistMode::all() {
                         let config = GprConfig::with_variant(variant).with_worklist(mode);
-                        let r = run(&gpu, &g, &init, config);
+                        let r = solve(&gpu, &g, &init, config);
                         assert_eq!(
                             r.matching.cardinality(),
                             opt,
@@ -747,24 +731,23 @@ mod tests {
 
     #[test]
     fn queue_worklist_skips_the_init_kernel() {
-        for mode in [WorklistMode::AtomicQueue, WorklistMode::BlockedQueue] {
-            let gpu = VirtualGpu::sequential();
-            let g = gen::rmat(gen::RmatParams::web_like(9, 4), 17).unwrap();
-            let init = cheap_matching(&g);
-            let config = GprConfig::with_variant(GprVariant::Shrink).with_worklist(mode);
-            let r = run(&gpu, &g, &init, config);
-            assert_eq!(r.matching.cardinality(), maximum_matching_cardinality(&g), "{mode}");
-            // No per-iteration scan of any kind: neither INITKRNL nor the
-            // shrink kernels ever launch, and the drained-queue termination
-            // checks run fused into the push kernel's tail — zero refill
-            // launches, only fused tails.
-            assert_eq!(r.stats.device.launches_of("G-PR-INITKRNL"), 0, "{mode}");
-            assert_eq!(r.stats.device.launches_of("G-PR-SHRKRNL_count"), 0, "{mode}");
-            assert_eq!(r.stats.device.launches_of("G-PR-WL-REFILL"), 0, "{mode}");
-            assert!(r.stats.device.fused_tails_of("G-PR-WL-REFILL") >= 1, "{mode}");
-            assert_eq!(r.stats.shrinks, 0, "{mode}");
-            assert!(r.stats.atomics > 0, "{mode}: queue pushes must charge atomics");
-        }
+        let gpu = VirtualGpu::sequential();
+        let g = gen::rmat(gen::RmatParams::web_like(9, 4), 17).unwrap();
+        let init = cheap_matching(&g);
+        let config =
+            GprConfig::with_variant(GprVariant::Shrink).with_worklist(WorklistMode::AtomicQueue);
+        let r = solve(&gpu, &g, &init, config);
+        assert_eq!(r.matching.cardinality(), maximum_matching_cardinality(&g));
+        // No per-iteration scan of any kind: neither INITKRNL nor the shrink
+        // kernels ever launch, and the drained-queue termination checks run
+        // fused into the push kernel's tail — zero refill launches, only
+        // fused tails.
+        assert_eq!(r.stats.device.launches_of("G-PR-INITKRNL"), 0);
+        assert_eq!(r.stats.device.launches_of("G-PR-SHRKRNL_count"), 0);
+        assert_eq!(r.stats.device.launches_of("G-PR-WL-REFILL"), 0);
+        assert!(r.stats.device.fused_tails_of("G-PR-WL-REFILL") >= 1);
+        assert_eq!(r.stats.shrinks, 0);
+        assert!(r.stats.atomics > 0, "queue pushes must charge atomics");
     }
 
     #[test]
@@ -776,13 +759,13 @@ mod tests {
         let gpu = VirtualGpu::sequential();
         let g = gen::uniform_random(600, 600, 3600, 5).unwrap();
         let init = cheap_matching(&g);
-        let dense = run(
+        let dense = solve(
             &gpu,
             &g,
             &init,
             GprConfig::with_variant(GprVariant::ActiveList).with_worklist(WorklistMode::DenseStamp),
         );
-        let queue = run(
+        let queue = solve(
             &gpu,
             &g,
             &init,
@@ -809,8 +792,8 @@ mod tests {
             for variant in all_variants() {
                 for mode in WorklistMode::all() {
                     let base = GprConfig::with_variant(variant).with_worklist(mode);
-                    let lpr = run(&gpu, &g, &init, base);
-                    let per = run(&gpu, &g, &init, base.with_exec(ExecMode::Persistent));
+                    let lpr = solve(&gpu, &g, &init, base);
+                    let per = solve(&gpu, &g, &init, base.with_exec(ExecMode::Persistent));
                     let tag = format!("{} + {mode}, seed {seed}", variant.label());
                     assert_eq!(per.matching.cardinality(), lpr.matching.cardinality(), "{tag}");
                     per.matching.validate_against(&g).unwrap();
@@ -832,7 +815,7 @@ mod tests {
             let g = gen::rmat(gen::RmatParams::graph500(9, 4), 4).unwrap();
             let init = cheap_matching(&g);
             let config = GprConfig::paper_default().with_exec(ExecMode::Persistent);
-            let r = run(&gpu, &g, &init, config);
+            let r = solve(&gpu, &g, &init, config);
             assert_eq!(r.matching.cardinality(), maximum_matching_cardinality(&g));
             // The whole solve is one resident launch plus FIXMATCHING; every
             // round loop kernel crossed the global barrier instead.
@@ -853,9 +836,9 @@ mod tests {
         let gpu = VirtualGpu::sequential();
         let g = gen::road_network(40, 40, 0.1, 5).unwrap();
         let init = cheap_matching(&g);
-        let base = GprConfig::paper_default().with_worklist(WorklistMode::BlockedQueue);
-        let lpr = run(&gpu, &g, &init, base);
-        let per = run(&gpu, &g, &init, base.with_exec(ExecMode::Persistent));
+        let base = GprConfig::paper_default().with_worklist(WorklistMode::AtomicQueue);
+        let lpr = solve(&gpu, &g, &init, base);
+        let per = solve(&gpu, &g, &init, base.with_exec(ExecMode::Persistent));
         assert_eq!(lpr.matching.cardinality(), per.matching.cardinality());
         assert!(
             per.stats.device.modelled_time_secs() < lpr.stats.device.modelled_time_secs(),
@@ -877,7 +860,7 @@ mod tests {
             let p = Arc::clone(&polls);
             let stop = StopCheck::from_fn(move || p.fetch_add(1, Ordering::Relaxed) >= 3);
             let config = GprConfig::with_variant(variant).with_exec(ExecMode::Persistent);
-            let r = run_with_stop(&gpu, &g, &init, config, &mut GprWorkspace::new(), &stop);
+            let r = run(&gpu, &g, &init, config, &mut GprWorkspace::new(), &stop);
             assert!(r.stats.stopped, "{}", variant.label());
             assert!(r.stats.loops <= 3, "{}: {} rounds", variant.label(), r.stats.loops);
             r.matching.validate_against(&g).unwrap();
@@ -911,24 +894,25 @@ mod tests {
         for variant in all_variants() {
             let config = GprConfig::with_variant(variant);
             let init1 = cheap_matching(&g1);
-            let warm1 = run_with(&gpu, &g1, &init1, config, &mut ws);
+            let warm1 = run(&gpu, &g1, &init1, config, &mut ws, &StopCheck::never());
             assert_eq!(
                 warm1.matching.cardinality(),
-                run(&gpu, &g1, &init1, config).matching.cardinality()
+                solve(&gpu, &g1, &init1, config).matching.cardinality()
             );
             // Same shape: the second solve reuses the workspace buffers.
             assert!(ws.is_warm_for(&g2));
             let init2 = cheap_matching(&g2);
-            let warm2 = run_with(&gpu, &g2, &init2, config, &mut ws);
+            let warm2 = run(&gpu, &g2, &init2, config, &mut ws, &StopCheck::never());
             assert_eq!(
                 warm2.matching.cardinality(),
-                run(&gpu, &g2, &init2, config).matching.cardinality()
+                solve(&gpu, &g2, &init2, config).matching.cardinality()
             );
         }
         // Shape change: the workspace transparently re-allocates.
         let g3 = gen::uniform_random(30, 45, 200, 3).unwrap();
         assert!(!ws.is_warm_for(&g3));
-        let r3 = run_with(&gpu, &g3, &cheap_matching(&g3), GprConfig::paper_default(), &mut ws);
+        let init3 = cheap_matching(&g3);
+        let r3 = run(&gpu, &g3, &init3, GprConfig::paper_default(), &mut ws, &StopCheck::never());
         assert_eq!(r3.matching.cardinality(), maximum_matching_cardinality(&g3));
         assert!(ws.is_warm_for(&g3));
     }
@@ -948,7 +932,7 @@ mod tests {
             let polls = Arc::new(AtomicU64::new(0));
             let p = Arc::clone(&polls);
             let stop = StopCheck::from_fn(move || p.fetch_add(1, Ordering::Relaxed) >= 3);
-            let r = run_with_stop(
+            let r = run(
                 &gpu,
                 &g,
                 &init,
@@ -981,7 +965,7 @@ mod tests {
         let init = cheap_matching(&g);
         for variant in all_variants() {
             let stop = StopCheck::from_fn(|| true);
-            let r = run_with_stop(
+            let r = run(
                 &gpu,
                 &g,
                 &init,
@@ -997,22 +981,23 @@ mod tests {
 
     #[test]
     fn never_stop_matches_plain_run() {
+        // A polling check that never trips changes nothing about the solve.
         let gpu = VirtualGpu::sequential();
         let g = gen::uniform_random(80, 80, 400, 7).unwrap();
         let init = cheap_matching(&g);
-        let plain = run(&gpu, &g, &init, GprConfig::paper_default());
-        let stopped = run_with_stop(
+        let plain = solve(&gpu, &g, &init, GprConfig::paper_default());
+        let polled = run(
             &gpu,
             &g,
             &init,
             GprConfig::paper_default(),
             &mut GprWorkspace::new(),
-            &StopCheck::never(),
+            &StopCheck::from_fn(|| false),
         );
         assert!(!plain.stats.stopped);
-        assert!(!stopped.stats.stopped);
-        assert_eq!(plain.matching.cardinality(), stopped.matching.cardinality());
-        assert_eq!(plain.stats.loops, stopped.stats.loops);
+        assert!(!polled.stats.stopped);
+        assert_eq!(plain.matching.cardinality(), polled.matching.cardinality());
+        assert_eq!(plain.stats.loops, polled.stats.loops);
     }
 
     #[test]
@@ -1020,8 +1005,8 @@ mod tests {
         let gpu = VirtualGpu::sequential();
         let g = gen::uniform_random(80, 80, 400, 3).unwrap();
         let init = cheap_matching(&g);
-        let a = run(&gpu, &g, &init, GprConfig::paper_default());
-        let b = run(&gpu, &g, &init, GprConfig::paper_default());
+        let a = solve(&gpu, &g, &init, GprConfig::paper_default());
+        let b = solve(&gpu, &g, &init, GprConfig::paper_default());
         // Same work both times: the second run's stats must not include the
         // first run's launches.
         assert_eq!(

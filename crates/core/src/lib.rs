@@ -72,7 +72,7 @@ pub mod strategy;
 pub use cancel::{CancelToken, SolveCtx, StopReason};
 pub use engine::{Engine, EngineCtx, EngineOutput};
 pub use error::{ParseAlgorithmError, ParseInitHeuristicError, SolveError};
-pub use ghk::{GhkVariant, GhkWorkspace};
+pub use ghk::{GhkConfig, GhkVariant, GhkWorkspace};
 pub use gpm_gpu::{ExecMode, ExecutorConfig, WorklistMode};
 pub use gpr::{GprConfig, GprResult, GprVariant, GprWorkspace};
 pub use resolve::{ResolveOutcome, ResolveReport, WARM_START_CHURN_LIMIT};

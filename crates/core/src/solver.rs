@@ -226,10 +226,10 @@ impl Hash for Algorithm {
 
 /// Round-trippable label: `G-PR-Shr@adaptive:0.7`, `G-HKDW`, `PR@0.5`,
 /// `P-DBFS@8`, `PFP`, `HK`, `HKDW`.  GPU algorithms append `+dense`,
-/// `+compacted`, `+queue`, or `+blocked` when the worklist representation
-/// differs from the variant's default (e.g. `G-PR-Shr@adaptive:0.7+queue`,
-/// `G-HK+blocked`), and a final `@resident` suffix when the persistent
-/// execution mode is selected (e.g. `G-PR-Shr@adaptive:0.7+blocked@resident`).
+/// `+compacted`, or `+queue` when the worklist representation differs from
+/// the variant's default (e.g. `G-PR-Shr@adaptive:0.7+queue`, `G-HK+queue`),
+/// and a final `@resident` suffix when the persistent execution mode is
+/// selected (e.g. `G-PR-Shr@adaptive:0.7+queue@resident`).
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let exec_suffix = |f: &mut fmt::Formatter<'_>, exec: &ExecMode| {
@@ -266,8 +266,7 @@ impl fmt::Display for Algorithm {
 /// Parses the labels produced by [`fmt::Display`].  Parameters may be
 /// omitted, in which case the paper's defaults apply: `G-PR-Shr` ≡
 /// `G-PR-Shr@adaptive:0.7`, `PR` ≡ `PR@0.5`, `P-DBFS` ≡ `P-DBFS@8`.  GPU
-/// algorithms accept a trailing `+dense` / `+compacted` / `+queue` /
-/// `+blocked` worklist
+/// algorithms accept a trailing `+dense` / `+compacted` / `+queue` worklist
 /// suffix (default: the variant's paper representation) and a final
 /// `@resident` / `@launch` execution-mode suffix (default: `launch`, one
 /// kernel launch per round).

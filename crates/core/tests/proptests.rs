@@ -3,10 +3,11 @@
 //! whose cardinality equals the independent oracle's, on both virtual-GPU
 //! backends, from both an empty and a greedy initial matching.
 
-use gpm_core::gpr::{self, GprConfig, GprVariant};
+use gpm_core::ghk::{self, GhkConfig, GhkResult, GhkVariant, GhkWorkspace};
+use gpm_core::gpr::{self, GprConfig, GprResult, GprVariant, GprWorkspace};
 use gpm_core::solver::{Algorithm, DevicePolicy, Solver};
-use gpm_core::{ghk, ExecMode, GhkVariant, GrStrategy, WorklistMode};
-use gpm_gpu::VirtualGpu;
+use gpm_core::{ExecMode, GrStrategy, WorklistMode};
+use gpm_gpu::{StopCheck, VirtualGpu};
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::verify::{is_maximum, maximum_matching_cardinality};
 use gpm_graph::{BipartiteCsr, GraphDelta, Matching, VertexId};
@@ -15,6 +16,16 @@ use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = BipartiteCsr> {
     arb_bipartite_with(30, 30, 150)
+}
+
+/// A cold G-PR run that is never stopped.
+fn run_gpr(gpu: &VirtualGpu, g: &BipartiteCsr, init: &Matching, config: GprConfig) -> GprResult {
+    gpr::run(gpu, g, init, config, &mut GprWorkspace::new(), &StopCheck::never())
+}
+
+/// A cold G-HK / G-HKDW run that is never stopped.
+fn run_ghk(gpu: &VirtualGpu, g: &BipartiteCsr, init: &Matching, config: GhkConfig) -> GhkResult {
+    ghk::run(gpu, g, init, config, &mut GhkWorkspace::new(), &StopCheck::never())
 }
 
 proptest! {
@@ -26,7 +37,7 @@ proptest! {
         let opt = maximum_matching_cardinality(&g);
         let init = cheap_matching(&g);
         for variant in [GprVariant::First, GprVariant::ActiveList, GprVariant::Shrink] {
-            let r = gpr::run(&gpu, &g, &init, GprConfig::with_variant(variant));
+            let r = run_gpr(&gpu, &g, &init, GprConfig::with_variant(variant));
             prop_assert_eq!(r.matching.cardinality(), opt, "{}", variant.label());
             prop_assert!(is_maximum(&g, &r.matching));
             prop_assert!(r.matching.validate_against(&g).is_ok());
@@ -38,7 +49,7 @@ proptest! {
         let gpu = VirtualGpu::parallel();
         let opt = maximum_matching_cardinality(&g);
         let init = cheap_matching(&g);
-        let r = gpr::run(&gpu, &g, &init, GprConfig::paper_default());
+        let r = run_gpr(&gpu, &g, &init, GprConfig::paper_default());
         prop_assert_eq!(r.matching.cardinality(), opt);
         prop_assert!(is_maximum(&g, &r.matching));
     }
@@ -47,7 +58,7 @@ proptest! {
     fn gpr_from_empty_matching_matches_oracle(g in arb_graph()) {
         let gpu = VirtualGpu::sequential();
         let opt = maximum_matching_cardinality(&g);
-        let r = gpr::run(&gpu, &g, &Matching::empty_for(&g), GprConfig::paper_default());
+        let r = run_gpr(&gpu, &g, &Matching::empty_for(&g), GprConfig::paper_default());
         prop_assert_eq!(r.matching.cardinality(), opt);
     }
 
@@ -57,7 +68,7 @@ proptest! {
         let opt = maximum_matching_cardinality(&g);
         let init = cheap_matching(&g);
         for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
-            let r = ghk::run(&gpu, &g, &init, variant);
+            let r = run_ghk(&gpu, &g, &init, GhkConfig::with_variant(variant));
             prop_assert_eq!(r.matching.cardinality(), opt, "{}", variant.label());
             prop_assert!(is_maximum(&g, &r.matching));
         }
@@ -76,8 +87,8 @@ proptest! {
         for mode in WorklistMode::all() {
             for variant in [GprVariant::First, GprVariant::ActiveList, GprVariant::Shrink] {
                 let base = GprConfig::with_variant(variant).with_worklist(mode);
-                let launch = gpr::run(&gpu, &g, &init, base);
-                let resident = gpr::run(&gpu, &g, &init, base.with_exec(ExecMode::Persistent));
+                let launch = run_gpr(&gpu, &g, &init, base);
+                let resident = run_gpr(&gpu, &g, &init, base.with_exec(ExecMode::Persistent));
                 prop_assert_eq!(
                     launch.matching.cardinality(),
                     resident.matching.cardinality(),
@@ -90,14 +101,9 @@ proptest! {
                 prop_assert!(resident.stats.device.total_launches() <= 2);
             }
             for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
-                let launch = ghk::run_with_exec_stop(
-                    &gpu, &g, &init, variant, mode, ExecMode::LaunchPerRound,
-                    &mut gpm_core::GhkWorkspace::new(), &gpm_gpu::StopCheck::never(),
-                );
-                let resident = ghk::run_with_exec_stop(
-                    &gpu, &g, &init, variant, mode, ExecMode::Persistent,
-                    &mut gpm_core::GhkWorkspace::new(), &gpm_gpu::StopCheck::never(),
-                );
+                let base = GhkConfig::with_variant(variant).with_worklist(mode);
+                let launch = run_ghk(&gpu, &g, &init, base);
+                let resident = run_ghk(&gpu, &g, &init, base.with_exec(ExecMode::Persistent));
                 prop_assert_eq!(
                     launch.matching.cardinality(),
                     resident.matching.cardinality(),
@@ -195,7 +201,7 @@ proptest! {
         let opt = maximum_matching_cardinality(&g);
         let init = cheap_matching(&g);
         for strategy in [GrStrategy::Fixed(k), GrStrategy::Adaptive(f64::from(k) / 5.0)] {
-            let r = gpr::run(&gpu, &g, &init, GprConfig::with_strategy(strategy));
+            let r = run_gpr(&gpu, &g, &init, GprConfig::with_strategy(strategy));
             prop_assert_eq!(r.matching.cardinality(), opt, "{}", strategy.label());
         }
     }

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 /// modes of the GPU families (so the `+mode` and `@resident` label suffixes
 /// are exercised by the round-trip property).
 fn arb_algorithm() -> impl Strategy<Value = Algorithm> {
-    (0usize..10, 1u32..100, 1u32..40, 1usize..16, 0usize..4, 0usize..2).prop_map(
+    (0usize..10, 1u32..100, 1u32..40, 1usize..16, 0..WorklistMode::all().len(), 0usize..2).prop_map(
         |(which, fix_k, tenths, threads, mode, exec)| {
             let adaptive = GrStrategy::Adaptive(f64::from(tenths) / 10.0);
             let mode = WorklistMode::all()[mode];
@@ -257,14 +257,6 @@ fn worklist_labels_parse_and_reject_junk() {
         "G-HK+queue".parse::<Algorithm>().unwrap(),
         Algorithm::ghk(GhkVariant::Hk).with_worklist(WorklistMode::AtomicQueue)
     );
-    assert_eq!(
-        "G-HK+blocked".parse::<Algorithm>().unwrap(),
-        Algorithm::ghk(GhkVariant::Hk).with_worklist(WorklistMode::BlockedQueue)
-    );
-    assert_eq!(
-        "G-PR-Shr@adaptive:0.7+blocked".parse::<Algorithm>().unwrap(),
-        Algorithm::gpr_default().with_worklist(WorklistMode::BlockedQueue)
-    );
     // A default-mode suffix parses to the same algorithm as no suffix.
     assert_eq!(
         "G-PR-Shr+compacted".parse::<Algorithm>().unwrap(),
@@ -280,8 +272,11 @@ fn worklist_labels_parse_and_reject_junk() {
         Algorithm::ghk(GhkVariant::Hkdw).with_worklist(WorklistMode::Compacted).to_string(),
         "G-HKDW+compacted"
     );
-    // Junk modes and CPU algorithms with modes are rejected.
+    // Junk modes, the retired `blocked` mode, and CPU algorithms with modes
+    // are rejected.
     assert!("G-PR-Shr+stack".parse::<Algorithm>().is_err());
+    assert!("G-PR-Shr@adaptive:0.7+blocked".parse::<Algorithm>().is_err());
+    assert!("G-HK+blocked@resident".parse::<Algorithm>().is_err());
     assert!("HK+queue".parse::<Algorithm>().is_err());
     assert!("PR@0.5+dense".parse::<Algorithm>().is_err());
     assert!("P-DBFS+compacted".parse::<Algorithm>().is_err());
@@ -299,10 +294,10 @@ fn worklist_labels_parse_and_reject_junk() {
 fn exec_mode_labels_parse_and_reject_junk() {
     // The full grammar: strategy, worklist, and execution-mode suffixes.
     let full = Algorithm::gpr_default()
-        .with_worklist(WorklistMode::BlockedQueue)
+        .with_worklist(WorklistMode::AtomicQueue)
         .with_exec(ExecMode::Persistent);
-    assert_eq!(full.to_string(), "G-PR-Shr@adaptive:0.7+blocked@resident");
-    assert_eq!("G-PR-Shr@adaptive:0.7+blocked@resident".parse::<Algorithm>().unwrap(), full);
+    assert_eq!(full.to_string(), "G-PR-Shr@adaptive:0.7+queue@resident");
+    assert_eq!("G-PR-Shr@adaptive:0.7+queue@resident".parse::<Algorithm>().unwrap(), full);
     // Resident without a worklist suffix.
     assert_eq!(
         "G-HK@resident".parse::<Algorithm>().unwrap(),
@@ -333,7 +328,7 @@ fn exec_mode_labels_parse_and_reject_junk() {
     // Junk exec modes fall through to (and fail) ordinary parsing.
     assert!("G-HK@megakernel".parse::<Algorithm>().is_err());
     // Suffix order is fixed: worklist, then exec.
-    assert!("G-PR-Shr@resident+blocked".parse::<Algorithm>().is_err());
+    assert!("G-PR-Shr@resident+queue".parse::<Algorithm>().is_err());
 }
 
 /// The cross-representation acceptance test: every worklist mode, under both

@@ -3,13 +3,24 @@
 //! logic must survive (interval 0/1, empty graphs, already-perfect initial
 //! matchings).
 
-use gpm_core::gpr::{self, GprConfig};
+use gpm_core::gpr::{self, GprConfig, GprResult, GprWorkspace};
 use gpm_core::strategy::figure1_strategies;
 use gpm_core::GrStrategy;
-use gpm_gpu::VirtualGpu;
+use gpm_gpu::{StopCheck, VirtualGpu};
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::verify::{maximum_matching_cardinality, reference_maximum_matching};
 use gpm_graph::{gen, BipartiteCsr, Matching};
+
+/// A cold G-PR run under `strategy` that is never stopped.
+fn run_with_strategy(
+    gpu: &VirtualGpu,
+    g: &BipartiteCsr,
+    init: &Matching,
+    strategy: GrStrategy,
+) -> GprResult {
+    let config = GprConfig::with_strategy(strategy);
+    gpr::run(gpu, g, init, config, &mut GprWorkspace::new(), &StopCheck::never())
+}
 
 #[test]
 fn figure1_grid_matches_the_paper() {
@@ -41,7 +52,7 @@ fn every_grid_strategy_reaches_the_optimum() {
     let init = cheap_matching(&g);
     let opt = maximum_matching_cardinality(&g);
     for strategy in figure1_strategies() {
-        let r = gpr::run(&gpu, &g, &init, GprConfig::with_strategy(strategy));
+        let r = run_with_strategy(&gpu, &g, &init, strategy);
         assert_eq!(r.matching.cardinality(), opt, "strategy {} fell short", strategy.label());
     }
 }
@@ -57,7 +68,7 @@ fn degenerate_intervals_zero_and_one_still_terminate() {
         GrStrategy::Fixed(1),                    // relabel on every kernel execution
         GrStrategy::Adaptive(f64::MIN_POSITIVE), // ceil() clamps to 1 iteration
     ] {
-        let r = gpr::run(&gpu, &g, &init, GprConfig::with_strategy(strategy));
+        let r = run_with_strategy(&gpu, &g, &init, strategy);
         assert_eq!(r.matching.cardinality(), opt, "strategy {} fell short", strategy.label());
     }
 }
@@ -70,8 +81,7 @@ fn empty_and_edgeless_graphs_are_handled() {
         [BipartiteCsr::from_edges(1, 1, &[]).unwrap(), BipartiteCsr::from_edges(7, 3, &[]).unwrap()]
     {
         for strategy in figure1_strategies() {
-            let r =
-                gpr::run(&gpu, &g, &Matching::empty_for(&g), GprConfig::with_strategy(strategy));
+            let r = run_with_strategy(&gpu, &g, &Matching::empty_for(&g), strategy);
             assert_eq!(r.matching.cardinality(), 0, "strategy {}", strategy.label());
         }
     }
@@ -84,7 +94,7 @@ fn already_perfect_initial_matching_is_preserved() {
     let perfect = reference_maximum_matching(&g);
     assert_eq!(perfect.cardinality(), 50);
     for strategy in figure1_strategies() {
-        let r = gpr::run(&gpu, &g, &perfect, GprConfig::with_strategy(strategy));
+        let r = run_with_strategy(&gpu, &g, &perfect, strategy);
         assert_eq!(r.matching.cardinality(), 50, "strategy {}", strategy.label());
         assert!(r.matching.validate_against(&g).is_ok());
     }

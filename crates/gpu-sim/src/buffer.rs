@@ -170,9 +170,8 @@ impl DeviceBuffer<u64> {
     /// This is the one read-modify-write operation the crate exposes.  The
     /// paper's matching kernels never use it (their races are benign by
     /// construction); it exists for the worklist subsystem's
-    /// [`AtomicQueue`](crate::worklist::WorklistMode::AtomicQueue) and
-    /// [`BlockedQueue`](crate::worklist::WorklistMode::BlockedQueue)
-    /// representations, whose device-side appends mirror the atomic-append
+    /// [`AtomicQueue`](crate::worklist::WorklistMode::AtomicQueue)
+    /// representation, whose device-side appends mirror the atomic-append
     /// frontier queues of the GPU BFS literature.
     ///
     /// RMW traffic is what the device cost model charges contention for:

@@ -3,7 +3,7 @@
 use crate::exec::{ResidentBody, WorkerPool};
 use crate::perfmodel::PerfModel;
 use crate::scratch::ScratchArena;
-use crate::stats::DeviceStats;
+use crate::stats::{DeviceStats, LaunchKind};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::sync::{Arc, OnceLock};
@@ -123,11 +123,6 @@ pub struct ExecutorConfig {
     /// `grid / workers` (rounded up) so every pool worker gets a share of
     /// mid-sized grids.
     pub chunk_size: usize,
-    /// Legacy execution strategy: spawn and join scoped host threads on
-    /// every launch (static equal partitions) instead of dispatching to the
-    /// persistent pool.  Kept for A/B benchmarking of the executor itself
-    /// (`benches/launch_overhead.rs`); leave `false` for real use.
-    pub per_launch_spawn: bool,
     /// Tag baked into the pool's host thread names
     /// (`gpm-gpu-t<tag>-worker-<i>`; tag 0, the default, keeps the plain
     /// `gpm-gpu-worker-<i>` names).  A deployment running several executor
@@ -139,7 +134,7 @@ pub struct ExecutorConfig {
 
 impl Default for ExecutorConfig {
     fn default() -> Self {
-        Self { parallel_threshold: 2048, chunk_size: 1024, per_launch_spawn: false, pool_tag: 0 }
+        Self { parallel_threshold: 2048, chunk_size: 1024, pool_tag: 0 }
     }
 }
 
@@ -369,19 +364,8 @@ impl LaunchTotals {
 #[derive(Clone, Copy)]
 struct LaunchEvent {
     name: &'static str,
-    threads: usize,
-    work: u64,
-    atomics: u64,
-    hot_word_atomics: u64,
-    modelled_time_ns: f64,
-    wall_time_ns: f64,
-    /// `true` for work fused into the tail of the preceding launch: charged
-    /// to the same kernel without counting as a launch of its own.
-    fused: bool,
-    /// `true` for a device-resident round: charged a barrier crossing
-    /// instead of launch overhead, counted as `resident_rounds`/`barriers`
-    /// rather than `launches`.
-    resident: bool,
+    kind: LaunchKind,
+    record: LaunchRecord,
 }
 
 /// Pending launch events plus the merged per-kernel aggregate.  `record` is
@@ -407,37 +391,7 @@ impl StatsAccum {
 
     fn flush(&mut self) {
         for event in self.pending.drain(..) {
-            if event.resident {
-                self.merged.record_resident(
-                    event.name,
-                    event.threads,
-                    event.work,
-                    event.atomics,
-                    event.hot_word_atomics,
-                    event.modelled_time_ns,
-                    event.wall_time_ns,
-                );
-            } else if event.fused {
-                self.merged.record_fused(
-                    event.name,
-                    event.threads,
-                    event.work,
-                    event.atomics,
-                    event.hot_word_atomics,
-                    event.modelled_time_ns,
-                    event.wall_time_ns,
-                );
-            } else {
-                self.merged.record(
-                    event.name,
-                    event.threads,
-                    event.work,
-                    event.atomics,
-                    event.hot_word_atomics,
-                    event.modelled_time_ns,
-                    event.wall_time_ns,
-                );
-            }
+            self.merged.record(event.name, event.kind, &event.record);
         }
     }
 
@@ -629,9 +583,8 @@ impl VirtualGpu {
     /// a resident loop for the whole scope — the grid monopolizes the
     /// device, like a real megakernel occupying every SM, so concurrent
     /// launches from other threads on this device block until the scope
-    /// closes.  The sequential backend (and the legacy
-    /// [`ExecutorConfig::per_launch_spawn`] strategy, and single-worker
-    /// pools) runs rounds inline, preserving deterministic thread order.
+    /// closes.  The sequential backend (and single-worker pools) runs
+    /// rounds inline, preserving deterministic thread order.
     /// Either way the kernels and counters are identical to launch-per-round
     /// execution; only launch overhead becomes barrier crossings.
     ///
@@ -651,9 +604,7 @@ impl VirtualGpu {
         let participants = domain.clamp(1, self.config.perf.resident_capacity());
         let start = std::time::Instant::now();
         let session = match self.config.backend {
-            Backend::Parallel { workers }
-                if workers > 1 && !self.config.executor.per_launch_spawn =>
-            {
+            Backend::Parallel { workers } if workers > 1 => {
                 Some(self.pool(workers).begin_resident())
             }
             _ => None,
@@ -662,14 +613,16 @@ impl VirtualGpu {
         // resident grid, with no work yet (the rounds report their own).
         self.stats.lock().record(LaunchEvent {
             name,
-            threads: participants,
-            work: 0,
-            atomics: 0,
-            hot_word_atomics: 0,
-            modelled_time_ns: self.config.perf.launch_cost_ns(participants, 0, 0),
-            wall_time_ns: start.elapsed().as_nanos() as f64,
-            fused: false,
-            resident: false,
+            kind: LaunchKind::Launch,
+            record: LaunchRecord {
+                threads: participants,
+                work: 0,
+                max_thread_work: 0,
+                atomics: 0,
+                hot_word_atomics: 0,
+                modelled_time_ns: self.config.perf.launch_cost_ns(participants, 0, 0),
+                wall_time_ns: start.elapsed().as_nanos() as f64,
+            },
         });
         let _guard = ResidentScopeGuard::enter(ResidentScope {
             device: self as *const VirtualGpu as usize,
@@ -741,17 +694,8 @@ impl VirtualGpu {
             modelled_time_ns,
             wall_time_ns,
         };
-        self.stats.lock().record(LaunchEvent {
-            name,
-            threads: grid,
-            work: totals.work,
-            atomics,
-            hot_word_atomics,
-            modelled_time_ns,
-            wall_time_ns,
-            fused,
-            resident: !fused,
-        });
+        let kind = if fused { LaunchKind::Fused } else { LaunchKind::Resident };
+        self.stats.lock().record(LaunchEvent { name, kind, record });
         Some(record)
     }
 
@@ -773,8 +717,6 @@ impl VirtualGpu {
             Backend::Parallel { workers } => {
                 if grid < executor.parallel_threshold || workers <= 1 {
                     run_range(0, grid, grid, kernel)
-                } else if executor.per_launch_spawn {
-                    run_scoped(grid, workers, kernel)
                 } else {
                     pooled_workers = workers;
                     self.pool(workers).run(grid, executor.chunk_size, kernel)
@@ -819,17 +761,8 @@ impl VirtualGpu {
             modelled_time_ns,
             wall_time_ns,
         };
-        self.stats.lock().record(LaunchEvent {
-            name,
-            threads: grid,
-            work: totals.work,
-            atomics,
-            hot_word_atomics,
-            modelled_time_ns,
-            wall_time_ns,
-            fused,
-            resident: false,
-        });
+        let kind = if fused { LaunchKind::Fused } else { LaunchKind::Launch };
+        self.stats.lock().record(LaunchEvent { name, kind, record });
         record
     }
 
@@ -860,45 +793,6 @@ where
         let ctx = ThreadCtx::new(id, grid);
         kernel(&ctx);
         totals.absorb_thread(&ctx);
-    }
-    totals
-}
-
-/// The legacy execution strategy: spawn `workers` scoped threads over static
-/// equal partitions and join them, once per launch.  Kept behind
-/// [`ExecutorConfig::per_launch_spawn`] as the benchmark baseline the
-/// persistent pool is measured against.
-fn run_scoped(grid: usize, workers: usize, kernel: &(dyn Fn(&ThreadCtx) + Sync)) -> LaunchTotals {
-    let chunk = grid.div_ceil(workers);
-    let mut results: Vec<LaunchTotals> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let start = w * chunk;
-            let end = ((w + 1) * chunk).min(grid);
-            if start >= end {
-                break;
-            }
-            handles.push(scope.spawn(move || run_range(start, end, grid, kernel)));
-        }
-        // Join everything before re-raising so the first panic's payload
-        // reaches the caller intact — the same contract as the pooled path.
-        let mut panic_payload = None;
-        for h in handles {
-            match h.join() {
-                Ok(result) => results.push(result),
-                Err(payload) => {
-                    panic_payload.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
-        }
-    });
-    let mut totals = LaunchTotals::default();
-    for result in &results {
-        totals.merge(result);
     }
     totals
 }
@@ -970,19 +864,7 @@ mod tests {
     fn work_accounting_agrees_across_execution_strategies() {
         let grid = 50_000;
         let kernel = |ctx: &ThreadCtx| ctx.add_work((ctx.global_id % 97) as u64);
-        let strategies = [
-            VirtualGpu::sequential(),
-            pooled(4, 8, 128),
-            VirtualGpu::new(
-                GpuConfig::tesla_c2050(Backend::Parallel { workers: 4 }).with_executor(
-                    ExecutorConfig {
-                        parallel_threshold: 8,
-                        per_launch_spawn: true,
-                        ..Default::default()
-                    },
-                ),
-            ),
-        ];
+        let strategies = [VirtualGpu::sequential(), pooled(4, 8, 128)];
         let records: Vec<LaunchRecord> =
             strategies.iter().map(|gpu| gpu.launch("acct", grid, kernel)).collect();
         for rec in &records {
@@ -1122,25 +1004,6 @@ mod tests {
             Backend::Parallel { workers } => assert!(workers >= 1),
             _ => panic!("expected parallel backend"),
         }
-    }
-
-    #[test]
-    fn per_launch_spawn_flag_matches_pooled_results() {
-        let grid = 20_000;
-        let spawned = VirtualGpu::new(
-            GpuConfig::tesla_c2050(Backend::Parallel { workers: 3 }).with_executor(
-                ExecutorConfig {
-                    parallel_threshold: 8,
-                    per_launch_spawn: true,
-                    ..Default::default()
-                },
-            ),
-        );
-        let out = DeviceBuffer::<u32>::new(grid, 0);
-        spawned.launch("legacy", grid, |ctx| out.set(ctx.global_id, 1));
-        assert_eq!(out.to_vec().iter().map(|&v| v as usize).sum::<usize>(), grid);
-        // The legacy strategy never creates the persistent pool.
-        assert_eq!(spawned.worker_threads_spawned(), 0);
     }
 
     #[test]

@@ -43,12 +43,17 @@
 
 use crate::barrier::GlobalBarrier;
 use crate::engine::{LaunchTotals, ThreadCtx};
-use crate::primitives::QUEUE_BLOCK;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+
+/// Executor chunks are aligned to this many grid indices: 8 `u64` words,
+/// one modelled 64-byte cache line.  The alignment is kept because the
+/// chunk count feeds the engine's chunk-cursor cost accounting, so changing
+/// it would move every modelled cost under the pooled executor.
+const CHUNK_ALIGN: usize = 8;
 
 /// The per-launch chunk size the pool actually schedules with.
 ///
@@ -57,12 +62,8 @@ use std::thread::JoinHandle;
 /// * every worker participating in the launch barrier should get a share of
 ///   mid-sized grids, so the chunk is capped at `grid / workers` (rounded
 ///   up);
-/// * chunks are aligned up to a multiple of [`QUEUE_BLOCK`] (one modelled
-///   cache line) so a worker's chunk of grid indices and the queue-slot
-///   blocks it claims tile the same granularity — in the cost model, an
-///   executor chunk boundary never splits a blocked queue segment across
-///   two workers' cache lines (no modelled false sharing between the chunk
-///   cursor's claims and blocked appends).
+/// * chunks are aligned up to a multiple of [`CHUNK_ALIGN`] (one modelled
+///   cache line).
 ///
 /// Shared by [`WorkerPool::run`] and the engine's deterministic
 /// chunk-cursor cost accounting, which must agree on the claim count.
@@ -70,7 +71,7 @@ use std::thread::JoinHandle;
 /// [`chunk_size`]: crate::ExecutorConfig::chunk_size
 pub(crate) fn effective_chunk(chunk: usize, grid: usize, workers: usize) -> usize {
     let chunk = chunk.max(1).min(grid.div_ceil(workers.max(1)).max(1));
-    chunk.div_ceil(QUEUE_BLOCK) * QUEUE_BLOCK
+    chunk.div_ceil(CHUNK_ALIGN) * CHUNK_ALIGN
 }
 
 /// Locks a `std::sync` mutex, ignoring poison: a kernel panic is contained
@@ -539,17 +540,16 @@ mod tests {
     #[test]
     fn effective_chunk_is_cache_line_aligned_and_capped() {
         // Alignment: every effective chunk is a whole number of modelled
-        // cache lines, so executor chunks and blocked queue segments never
-        // share a line.
+        // cache lines.
         for (chunk, grid, workers) in [(1, 10_007, 3), (7, 64, 2), (1024, 100_000, 4)] {
             let eff = effective_chunk(chunk, grid, workers);
-            assert_eq!(eff % QUEUE_BLOCK, 0, "chunk {chunk} grid {grid} workers {workers}");
+            assert_eq!(eff % CHUNK_ALIGN, 0, "chunk {chunk} grid {grid} workers {workers}");
             assert!(eff >= 1);
         }
         // The per-worker cap still engages before alignment.
-        assert_eq!(effective_chunk(1024, 64, 4), QUEUE_BLOCK * 2);
+        assert_eq!(effective_chunk(1024, 64, 4), CHUNK_ALIGN * 2);
         // Degenerate inputs stay sane.
-        assert_eq!(effective_chunk(0, 0, 0), QUEUE_BLOCK);
+        assert_eq!(effective_chunk(0, 0, 0), CHUNK_ALIGN);
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //!    grid chunks from a shared atomic cursor, so divergent kernels load-
 //!    balance dynamically and the per-launch host cost is a pointer handoff,
 //!    not a `thread::spawn`/`join` round trip.  (The sequential backend runs
-//!    every thread inline in id order, for deterministic interleavings; the
-//!    old spawn-per-launch strategy survives behind
-//!    [`ExecutorConfig::per_launch_spawn`] as a benchmark baseline.)  A
+//!    every thread inline in id order, for deterministic interleavings, and
+//!    is the reference pooled results are tested against.)  A
 //!    kernel panic fails its launch but leaves the pool intact; dropping the
 //!    device joins every worker.
 //! 2. **Lock- and atomic-free kernel semantics.** Device memory is exposed as
@@ -49,14 +48,12 @@
 //!
 //! On top of the primitives sits the [`worklist`] module: a [`Worklist`]
 //! type that owns the *active set* every frontier-driven engine iterates,
-//! behind four interchangeable [`WorklistMode`] representations —
-//! dense stamp scans, `G-PR-SHRKRNL`-style compaction, a device-side
-//! atomic-append queue, and a blocked-claim variant of that queue that
-//! amortizes the contended tail `fetch_add` over cache-line-sized slot
-//! blocks.  See that module's docs for the round protocols and the queue
-//! memory model under the pooled executor.
+//! behind three interchangeable [`WorklistMode`] representations —
+//! dense stamp scans, `G-PR-SHRKRNL`-style compaction, and a device-side
+//! atomic-append queue.  See that module's docs for the round protocols and
+//! the queue memory model under the pooled executor.
 //!
-//! Executor tuning (inline threshold, chunk size, the legacy spawn flag)
+//! Executor tuning (inline threshold, chunk size, pool tag)
 //! lives in [`ExecutorConfig`] and is plumbed upward through `gpm-core`'s
 //! `Solver::builder()` and `gpm-service`'s `Service::builder()`.
 //!
@@ -93,7 +90,7 @@ pub use engine::{
 };
 pub use perfmodel::PerfModel;
 pub use scratch::{ScratchArena, ScratchBuffer, ScratchStats};
-pub use stats::{DeviceStats, KernelStats};
+pub use stats::{DeviceStats, KernelStats, LaunchKind};
 pub use stop::StopCheck;
 pub use worklist::{
     ActiveView, DomainMarker, FrontierView, ParseWorklistModeError, SlotAction, Worklist,

@@ -29,8 +29,7 @@
 //!   a *single* word.  Fermi's L2 serializes same-address atomics, so a
 //!   kernel that funnels every append through one queue-tail word pays this
 //!   term linearly in the append count no matter how many SMs it fills —
-//!   the single-tail bottleneck the blocked-append worklist exists to
-//!   break.
+//!   the single-tail bottleneck of an atomic-append queue.
 //!
 //! Constants default to values derived from the Tesla C2050's published
 //! characteristics and are identical for every algorithm, so ratios between
@@ -55,7 +54,7 @@
 //!   one same-word RMW per few clocks), charged on top of the throughput
 //!   term for every RMW on the launch's most contended word.  The default
 //!   of 4 ns keeps the model conservative while still making a
-//!   single-tail queue visibly slower than a blocked-append one.
+//!   single-tail queue visibly slower than spread-out atomics.
 
 use serde::{Deserialize, Serialize};
 
@@ -240,10 +239,9 @@ mod tests {
         let funneled = m.launch_cost_with_atomics_ns(1000, 10_000, 10, 1000, 1000);
         assert_eq!(spread, base + 1000.0 * m.atomic_cost_ns);
         assert_eq!(funneled, spread + 1000.0 * m.hot_word_serialization_ns);
-        // Blocked append: same payload, one claim per 8-slot block, and the
-        // hot word only sees the block claims — an 8x cut of both terms.
-        let blocked = m.launch_cost_with_atomics_ns(1000, 10_000, 10, 125, 125);
-        assert!(blocked < funneled);
+        // Fewer RMWs on the hot word cost less: an 8x cut of both terms.
+        let amortized = m.launch_cost_with_atomics_ns(1000, 10_000, 10, 125, 125);
+        assert!(amortized < funneled);
     }
 
     #[test]

@@ -18,32 +18,9 @@
 use crate::buffer::DeviceBuffer;
 use crate::engine::{ThreadCtx, VirtualGpu};
 use crate::scratch::ScratchBuffer;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of logical threads per block used by the block-wise passes.
 const BLOCK: usize = 256;
-
-/// Number of `u64` queue slots claimed per blocked-append block: 8 words =
-/// one 64-byte cache line, so distinct workers' blocks never false-share.
-pub const QUEUE_BLOCK: usize = 8;
-
-/// Hole marker used by blocked-append queues: slots claimed but not (yet)
-/// filled hold this value.  Blocked queues therefore cannot store
-/// `u64::MAX` as a payload; worklists store vertex/column ids, which are
-/// always well below it.
-pub const QUEUE_EMPTY: u64 = u64::MAX;
-
-/// Source of unique ids for blocked queue views.  Ids start at 1 so the
-/// thread-local cursor's zero-initialized id never matches a live queue.
-static NEXT_QUEUE_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// Per-worker blocked-append cursor: `(queue id, next slot, block end)`.
-    /// One slot suffices because each launch drives at most one blocked
-    /// queue; a new queue id simply evicts the previous cursor.
-    static BLOCK_CURSOR: Cell<(u64, usize, usize)> = const { Cell::new((0, 0, 0)) };
-}
 
 /// One block-reduction pass: thread `b` combines the `BLOCK` entries of its
 /// block in `src` into `dst[b]`.
@@ -182,115 +159,44 @@ pub fn exclusive_prefix_sum<'gpu>(
 /// A push beyond capacity raises `overflow` (word 0 set to 1) and drops the
 /// value; the caller is expected to rebuild the queue from its stamp array
 /// (see [`crate::worklist`]) when that happens.
-///
-/// # Blocked append
-///
-/// [`DeviceQueue::new_blocked`] builds a view whose pushes claim
-/// [`QUEUE_BLOCK`]-slot blocks instead of single slots: each executor worker
-/// keeps a thread-local cursor into its current block, so `QUEUE_BLOCK`
-/// consecutive pushes from one worker cost a single `fetch_add` on the
-/// shared tail — an 8× cut of both the atomic throughput term and, far more
-/// importantly, the same-address serialization on the tail word.  The price
-/// is density: a worker that stops pushing mid-block leaves *holes*
-/// (pre-filled with [`QUEUE_EMPTY`] at claim time, while the block is still
-/// exclusively owned, so the fill is race-free), and the tail counts claimed
-/// slots rather than stored items.  Callers compact the holes out after the
-/// launch — see the worklist's stitch pass.
-///
-/// Blocked claims round the tail up past capacity when the last block only
-/// partially fits; pushes that land on slots beyond capacity drop the value
-/// and raise `overflow` exactly like the per-item path, and the caller's
-/// rebuild-from-stamps recovery applies unchanged.
 pub struct DeviceQueue<'a> {
     items: &'a DeviceBuffer<u64>,
     tail: &'a DeviceBuffer<u64>,
     overflow: &'a DeviceBuffer<u64>,
-    /// `Some(id)` for blocked-append views; the id is unique per view so a
-    /// stale thread-local cursor from an earlier view can never leak claimed
-    /// slots across launches.
-    blocked: Option<u64>,
 }
 
 impl<'a> DeviceQueue<'a> {
-    /// Wraps the three device buffers as a per-item-append queue view.
-    /// `tail` and `overflow` must hold at least one word each.
+    /// Wraps the three device buffers as a queue view.  `tail` and
+    /// `overflow` must hold at least one word each.
     pub fn new(
         items: &'a DeviceBuffer<u64>,
         tail: &'a DeviceBuffer<u64>,
         overflow: &'a DeviceBuffer<u64>,
     ) -> Self {
-        Self { items, tail, overflow, blocked: None }
-    }
-
-    /// Wraps the three device buffers as a blocked-append queue view (see
-    /// the type docs).  Build a fresh view per launch: the view's identity
-    /// is what invalidates workers' thread-local block cursors.
-    pub fn new_blocked(
-        items: &'a DeviceBuffer<u64>,
-        tail: &'a DeviceBuffer<u64>,
-        overflow: &'a DeviceBuffer<u64>,
-    ) -> Self {
-        Self { items, tail, overflow, blocked: Some(NEXT_QUEUE_ID.fetch_add(1, Ordering::Relaxed)) }
+        Self { items, tail, overflow }
     }
 
     /// Appends `value`, returning `true` on success and `false` (with the
     /// overflow flag raised) when the queue is full.  Callable from any
     /// kernel thread; `ctx` receives the modelled atomic traffic (one RMW on
-    /// the tail word per item, or per [`QUEUE_BLOCK`]-slot claim in blocked
-    /// mode).
+    /// the tail word per item).
     #[inline]
     pub fn push(&self, ctx: &ThreadCtx, value: u64) -> bool {
-        match self.blocked {
-            None => {
-                ctx.add_atomic(self.tail.word_id(0));
-                let pos = self.tail.fetch_add(0, 1) as usize;
-                if pos < self.items.len() {
-                    self.items.set(pos, value);
-                    true
-                } else {
-                    self.overflow.set(0, 1);
-                    false
-                }
-            }
-            Some(id) => BLOCK_CURSOR.with(|cursor| {
-                let (cur_id, mut next, end) = cursor.get();
-                if cur_id != id || next == end {
-                    ctx.add_atomic(self.tail.word_id(0));
-                    let start = self.tail.fetch_add(0, QUEUE_BLOCK as u64) as usize;
-                    // The freshly claimed block is exclusively this worker's
-                    // until the end-of-launch barrier publishes it, so the
-                    // hole pre-fill below is race-free.
-                    for i in start..(start + QUEUE_BLOCK).min(self.items.len()) {
-                        self.items.set(i, QUEUE_EMPTY);
-                    }
-                    cursor.set((id, start, start + QUEUE_BLOCK));
-                    next = start;
-                }
-                let (_, _, end) = cursor.get();
-                cursor.set((id, next + 1, end));
-                if next < self.items.len() {
-                    self.items.set(next, value);
-                    true
-                } else {
-                    self.overflow.set(0, 1);
-                    false
-                }
-            }),
+        ctx.add_atomic(self.tail.word_id(0));
+        let pos = self.tail.fetch_add(0, 1) as usize;
+        if pos < self.items.len() {
+            self.items.set(pos, value);
+            true
+        } else {
+            self.overflow.set(0, 1);
+            false
         }
     }
 
-    /// Number of occupied slots, tail clamped to capacity.  For per-item
-    /// views this is the exact item count; for blocked views it counts
-    /// *claimed* slots and therefore includes any [`QUEUE_EMPTY`] holes left
-    /// by partial blocks.  Only meaningful after the filling launch has
-    /// completed.
+    /// Number of appended items, tail clamped to capacity.  Only meaningful
+    /// after the filling launch has completed.
     pub fn len(&self) -> usize {
         (self.tail.get(0) as usize).min(self.items.len())
-    }
-
-    /// `true` when this view appends in [`QUEUE_BLOCK`]-slot blocks.
-    pub fn is_blocked(&self) -> bool {
-        self.blocked.is_some()
     }
 
     /// `true` when nothing has been appended.
@@ -419,96 +325,6 @@ mod tests {
         // The 16 retained values are all valid pushes.
         for v in items.to_vec() {
             assert!(v < 100);
-        }
-    }
-
-    #[test]
-    fn blocked_queue_appends_every_value_with_fewer_tail_rmws() {
-        for gpu in gpus() {
-            let items = DeviceBuffer::<u64>::new(16_384, 0);
-            let tail = DeviceBuffer::<u64>::new(1, 0);
-            let overflow = DeviceBuffer::<u64>::new(1, 0);
-            let queue = DeviceQueue::new_blocked(&items, &tail, &overflow);
-            let rec = gpu.launch("blocked_fill", 10_000, |ctx| {
-                assert!(queue.push(ctx, ctx.global_id as u64));
-            });
-            assert!(!queue.overflowed());
-            // Claimed slots cover every push, rounded up to whole blocks per
-            // worker; the slack is bounded by one partial block per worker.
-            assert!(queue.len() >= 10_000);
-            assert_eq!(queue.len() % QUEUE_BLOCK, 0);
-            // One tail RMW per block claim, not per item.  `rec.atomics`
-            // also carries the pooled executor's chunk-cursor claims; the
-            // kernel's own share is exactly the block count, so the hottest
-            // word is whichever of the two counters is larger.
-            let blocks = (queue.len() / QUEUE_BLOCK) as u64;
-            assert!(blocks <= 10_000_u64.div_ceil(QUEUE_BLOCK as u64) + 64);
-            assert!(rec.atomics >= blocks);
-            let cursor_claims = rec.atomics - blocks;
-            assert_eq!(rec.hot_word_atomics, blocks.max(cursor_claims));
-            // Every id landed exactly once; the rest of the claimed slots
-            // are holes.
-            let mut got: Vec<u64> = items.to_vec()[..queue.len()]
-                .iter()
-                .copied()
-                .filter(|&v| v != QUEUE_EMPTY)
-                .collect();
-            got.sort_unstable();
-            let expected: Vec<u64> = (0..10_000).collect();
-            assert_eq!(got, expected);
-        }
-    }
-
-    #[test]
-    fn blocked_queue_overflow_drops_and_flags() {
-        for gpu in gpus() {
-            let items = DeviceBuffer::<u64>::new(20, 0);
-            let tail = DeviceBuffer::<u64>::new(1, 0);
-            let overflow = DeviceBuffer::<u64>::new(1, 0);
-            let queue = DeviceQueue::new_blocked(&items, &tail, &overflow);
-            let accepted = DeviceBuffer::<u64>::new(1, 0);
-            gpu.launch("blocked_overflow", 100, |ctx| {
-                if queue.push(ctx, ctx.global_id as u64) {
-                    accepted.fetch_add(0, 1);
-                }
-            });
-            // At most capacity items were stored; at least one push dropped.
-            let stored =
-                items.to_vec()[..queue.len()].iter().filter(|&&v| v != QUEUE_EMPTY).count() as u64;
-            assert_eq!(stored, accepted.get(0));
-            assert!(stored <= 20);
-            assert!(queue.overflowed());
-            for v in items.to_vec() {
-                assert!(v < 100 || v == QUEUE_EMPTY);
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_queue_cursor_does_not_leak_across_views() {
-        // A worker's thread-local cursor belongs to one view; a fresh view
-        // over the same buffers (new launch, reset tail) must re-claim
-        // rather than write into slots the tail no longer covers.
-        let gpu = VirtualGpu::parallel();
-        let items = DeviceBuffer::<u64>::new(1024, 0);
-        let tail = DeviceBuffer::<u64>::new(1, 0);
-        let overflow = DeviceBuffer::<u64>::new(1, 0);
-        for round in 0..3u64 {
-            tail.set(0, 0);
-            let queue = DeviceQueue::new_blocked(&items, &tail, &overflow);
-            gpu.launch("blocked_round", 100, |ctx| {
-                assert!(queue.push(ctx, round * 1000 + ctx.global_id as u64));
-            });
-            assert!(!queue.overflowed());
-            let got: Vec<u64> = items.to_vec()[..queue.len()]
-                .iter()
-                .copied()
-                .filter(|&v| v != QUEUE_EMPTY)
-                .collect();
-            assert_eq!(got.len(), 100, "round {round}");
-            for v in got {
-                assert!((round * 1000..round * 1000 + 100).contains(&v), "round {round}");
-            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! Execution statistics collected by the virtual GPU.
 
+use crate::engine::LaunchRecord;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -46,82 +47,40 @@ pub struct DeviceStats {
     pub kernels: BTreeMap<String, KernelStats>,
 }
 
+/// How one recorded launch event is counted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LaunchKind {
+    /// An ordinary kernel launch: counted in `launches`.
+    Launch,
+    /// Work fused into the tail of the preceding launch (the CUDA
+    /// last-block-done idiom): counted in `fused_tails`, not `launches`.
+    Fused,
+    /// A device-resident round inside a persistent launch: it crossed the
+    /// software global barrier instead of paying a driver round-trip, so it
+    /// is counted in `resident_rounds` and `barriers`, not `launches`.
+    Resident,
+}
+
 impl DeviceStats {
-    /// Records one launch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        kernel: &str,
-        threads: usize,
-        work: u64,
-        atomics: u64,
-        hot_word_atomics: u64,
-        modelled_time_ns: f64,
-        wall_time_ns: f64,
-    ) {
+    /// Records one launch event of `kernel`.  Threads, work, atomics and
+    /// times always accumulate; `kind` decides which count is bumped.
+    pub fn record(&mut self, kernel: &str, kind: LaunchKind, launch: &LaunchRecord) {
         let entry = self.kernels.entry(kernel.to_string()).or_default();
-        entry.launches += 1;
-        entry.total_threads += threads as u64;
-        entry.total_work += work;
-        entry.total_atomics += atomics;
-        entry.hot_word_atomics += hot_word_atomics;
-        entry.modelled_time_ns += modelled_time_ns;
-        entry.wall_time_ns += wall_time_ns;
-        entry.max_grid = entry.max_grid.max(threads as u64);
-    }
-
-    /// Records one fused tail pass: accumulates threads/work/atomics/times
-    /// like [`DeviceStats::record`] but bumps `fused_tails` instead of
-    /// `launches` — the pass rode an existing launch, so it must not inflate
-    /// launch counts.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_fused(
-        &mut self,
-        kernel: &str,
-        threads: usize,
-        work: u64,
-        atomics: u64,
-        hot_word_atomics: u64,
-        modelled_time_ns: f64,
-        wall_time_ns: f64,
-    ) {
-        let entry = self.kernels.entry(kernel.to_string()).or_default();
-        entry.fused_tails += 1;
-        entry.total_threads += threads as u64;
-        entry.total_work += work;
-        entry.total_atomics += atomics;
-        entry.hot_word_atomics += hot_word_atomics;
-        entry.modelled_time_ns += modelled_time_ns;
-        entry.wall_time_ns += wall_time_ns;
-        entry.max_grid = entry.max_grid.max(threads as u64);
-    }
-
-    /// Records one device-resident round: accumulates
-    /// threads/work/atomics/times like [`DeviceStats::record`] but bumps
-    /// `resident_rounds` and `barriers` instead of `launches` — the round
-    /// ran inside a persistent launch and crossed the software global
-    /// barrier instead of paying a driver round-trip.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_resident(
-        &mut self,
-        kernel: &str,
-        threads: usize,
-        work: u64,
-        atomics: u64,
-        hot_word_atomics: u64,
-        modelled_time_ns: f64,
-        wall_time_ns: f64,
-    ) {
-        let entry = self.kernels.entry(kernel.to_string()).or_default();
-        entry.resident_rounds += 1;
-        entry.barriers += 1;
-        entry.total_threads += threads as u64;
-        entry.total_work += work;
-        entry.total_atomics += atomics;
-        entry.hot_word_atomics += hot_word_atomics;
-        entry.modelled_time_ns += modelled_time_ns;
-        entry.wall_time_ns += wall_time_ns;
-        entry.max_grid = entry.max_grid.max(threads as u64);
+        match kind {
+            LaunchKind::Launch => entry.launches += 1,
+            LaunchKind::Fused => entry.fused_tails += 1,
+            LaunchKind::Resident => {
+                entry.resident_rounds += 1;
+                entry.barriers += 1;
+            }
+        }
+        entry.total_threads += launch.threads as u64;
+        entry.total_work += launch.work;
+        entry.total_atomics += launch.atomics;
+        entry.hot_word_atomics += launch.hot_word_atomics;
+        entry.modelled_time_ns += launch.modelled_time_ns;
+        entry.wall_time_ns += launch.wall_time_ns;
+        entry.max_grid = entry.max_grid.max(launch.threads as u64);
     }
 
     /// Total number of kernel launches.
@@ -198,12 +157,32 @@ impl DeviceStats {
 mod tests {
     use super::*;
 
+    /// A launch record with the fields the aggregates read.
+    fn launch(
+        threads: usize,
+        work: u64,
+        atomics: u64,
+        hot_word_atomics: u64,
+        modelled_time_ns: f64,
+        wall_time_ns: f64,
+    ) -> LaunchRecord {
+        LaunchRecord {
+            threads,
+            work,
+            max_thread_work: 0,
+            atomics,
+            hot_word_atomics,
+            modelled_time_ns,
+            wall_time_ns,
+        }
+    }
+
     #[test]
     fn record_accumulates_per_kernel() {
         let mut s = DeviceStats::default();
-        s.record("push", 100, 500, 40, 10, 1000.0, 2000.0);
-        s.record("push", 50, 100, 10, 5, 500.0, 700.0);
-        s.record("relabel", 10, 10, 0, 0, 10.0, 20.0);
+        s.record("push", LaunchKind::Launch, &launch(100, 500, 40, 10, 1000.0, 2000.0));
+        s.record("push", LaunchKind::Launch, &launch(50, 100, 10, 5, 500.0, 700.0));
+        s.record("relabel", LaunchKind::Launch, &launch(10, 10, 0, 0, 10.0, 20.0));
         assert_eq!(s.total_launches(), 3);
         assert_eq!(s.launches_of("push"), 2);
         assert_eq!(s.launches_of("relabel"), 1);
@@ -224,8 +203,8 @@ mod tests {
     #[test]
     fn fused_tails_accumulate_without_counting_as_launches() {
         let mut s = DeviceStats::default();
-        s.record("push", 100, 500, 0, 0, 1000.0, 2000.0);
-        s.record_fused("push", 200, 50, 8, 8, 100.0, 150.0);
+        s.record("push", LaunchKind::Launch, &launch(100, 500, 0, 0, 1000.0, 2000.0));
+        s.record("push", LaunchKind::Fused, &launch(200, 50, 8, 8, 100.0, 150.0));
         let push = &s.kernels["push"];
         assert_eq!(push.launches, 1);
         assert_eq!(push.fused_tails, 1);
@@ -237,20 +216,20 @@ mod tests {
         assert_eq!(push.max_grid, 200);
         assert_eq!(s.total_launches(), 1);
         // A fused pass on a never-launched kernel still creates the row.
-        s.record_fused("stitch", 16, 4, 2, 2, 10.0, 10.0);
-        assert_eq!(s.launches_of("stitch"), 0);
-        assert_eq!(s.fused_tails_of("stitch"), 1);
+        s.record("refill", LaunchKind::Fused, &launch(16, 4, 2, 2, 10.0, 10.0));
+        assert_eq!(s.launches_of("refill"), 0);
+        assert_eq!(s.fused_tails_of("refill"), 1);
     }
 
     #[test]
     fn merge_combines_blocks() {
         let mut a = DeviceStats::default();
-        a.record("k", 10, 10, 3, 1, 1.0, 1.0);
+        a.record("k", LaunchKind::Launch, &launch(10, 10, 3, 1, 1.0, 1.0));
         let mut b = DeviceStats::default();
-        b.record("k", 20, 5, 2, 2, 2.0, 2.0);
-        b.record("j", 1, 1, 0, 0, 1.0, 1.0);
-        b.record_fused("k", 5, 5, 1, 1, 1.0, 1.0);
-        b.record_resident("k", 7, 2, 1, 1, 3.0, 3.0);
+        b.record("k", LaunchKind::Launch, &launch(20, 5, 2, 2, 2.0, 2.0));
+        b.record("j", LaunchKind::Launch, &launch(1, 1, 0, 0, 1.0, 1.0));
+        b.record("k", LaunchKind::Fused, &launch(5, 5, 1, 1, 1.0, 1.0));
+        b.record("k", LaunchKind::Resident, &launch(7, 2, 1, 1, 3.0, 3.0));
         a.merge(&b);
         assert_eq!(a.total_launches(), 3);
         assert_eq!(a.kernels["k"].total_threads, 42);
@@ -266,9 +245,9 @@ mod tests {
     #[test]
     fn resident_rounds_accumulate_without_counting_as_launches() {
         let mut s = DeviceStats::default();
-        s.record("loop", 100, 500, 0, 0, 7000.0, 100.0);
-        s.record_resident("loop", 100, 400, 14, 14, 800.0, 90.0);
-        s.record_resident("loop", 100, 300, 14, 14, 700.0, 80.0);
+        s.record("loop", LaunchKind::Launch, &launch(100, 500, 0, 0, 7000.0, 100.0));
+        s.record("loop", LaunchKind::Resident, &launch(100, 400, 14, 14, 800.0, 90.0));
+        s.record("loop", LaunchKind::Resident, &launch(100, 300, 14, 14, 700.0, 80.0));
         let k = &s.kernels["loop"];
         assert_eq!(k.launches, 1);
         assert_eq!(k.resident_rounds, 2);

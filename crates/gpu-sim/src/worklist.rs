@@ -1,4 +1,4 @@
-//! The device worklist: one API over four active-set representations.
+//! The device worklist: one API over three active-set representations.
 //!
 //! Every frontier-driven engine in the workspace — the paper's G-PR
 //! push-relabel kernels, the G-GR global-relabeling BFS, and the G-HK /
@@ -6,7 +6,7 @@
 //! vertices for the next round while processing the current one, and
 //! periodically rebuilds the set.  How that set is **represented on the
 //! device** is the performance knob the paper's Section III-C is about, so
-//! this module factors it out as a [`Worklist`] with four interchangeable
+//! this module factors it out as a [`Worklist`] with three interchangeable
 //! [`WorklistMode`]s:
 //!
 //! * [`WorklistMode::DenseStamp`] — membership is a per-vertex stamp (the
@@ -28,18 +28,6 @@
 //!   set collapses quickly.  Every push, however, funnels through the one
 //!   queue-tail word, and the device model charges same-address atomics a
 //!   serialization cost — the single-tail bottleneck.
-//! * [`WorklistMode::BlockedQueue`] — the same append-driven design, but
-//!   pushes claim cache-line-sized **slot blocks** (one `fetch_add` per
-//!   [`primitives::QUEUE_BLOCK`] slots, held in a per-worker thread-local
-//!   cursor) instead of single slots, cutting tail contention by the block
-//!   factor.  Partial blocks leave holes; a *wide* round handoff runs a
-//!   cheap two-pass *stitch* over at most one block per claim — not a
-//!   domain scan — fused into the preceding launch's tail
-//!   ([`VirtualGpu::launch_fused`]), compacting the claimed blocks into the
-//!   dense prefix the next round launches over.  Rounds narrower than one
-//!   warp-issue quantum skip the stitch and adopt the claimed blocks
-//!   verbatim: iteration skips the hole markers, and at that width the
-//!   holes cannot cost an extra issue round while the stitch passes would.
 //!
 //! # Protocols
 //!
@@ -87,30 +75,10 @@
 //!    whose queue runs dry re-scans by predicate before concluding it is
 //!    done, so an item lost to a rolled-back push can never end the solve
 //!    early).
-//!
-//! [`WorklistMode::BlockedQueue`] adds block claims on top, and two more
-//! races with them:
-//!
-//! 4. *Claim vs. fill* — a worker that claims a block immediately pre-fills
-//!    it with the hole marker before storing any item.  No other thread
-//!    touches those slots during the launch: the `fetch_add` on the tail
-//!    hands out disjoint slot ranges, so the block is exclusively owned
-//!    until the end-of-launch barrier publishes it (the same happens-before
-//!    edge as race 2).  The stitch — and any other reader — only runs after
-//!    that barrier, so it sees every hole marker and every stored item.
-//! 5. *Stale cursors* — a worker's thread-local cursor could outlive the
-//!    round that claimed it and point at slots the (reset) tail no longer
-//!    covers.  Queue views carry a unique id per construction and the
-//!    cursor is keyed by it, so a new round's first push re-claims instead
-//!    of resurrecting dead slots; abandoned partial blocks are just holes,
-//!    which a wide round's stitch compacts away and a narrow round's
-//!    iteration skips in place.  Blocked claims can also round the
-//!    tail past capacity even without duplicate races; the overflow path is
-//!    the same stamp rebuild as race 3.
 
 use crate::buffer::DeviceBuffer;
 use crate::engine::{ThreadCtx, VirtualGpu};
-use crate::primitives::{self, DeviceQueue, QUEUE_BLOCK};
+use crate::primitives::{self, DeviceQueue};
 use crate::scratch::ScratchBuffer;
 use std::cell::OnceCell;
 use std::fmt;
@@ -118,13 +86,6 @@ use std::str::FromStr;
 
 /// Sentinel for an empty worklist slot.
 pub const WL_EMPTY: u64 = u64::MAX;
-
-/// Widest blocked-queue round that adopts its claimed blocks verbatim
-/// (holes included) instead of stitching them into a dense prefix.  One
-/// warp-issue quantum of the modelled device — `num_sms × warp_size`
-/// threads retire per issue round — so below this width the holes cannot
-/// add an issue round, while the two fused stitch passes always would.
-const STITCH_THRESHOLD: usize = 448;
 
 /// How a [`Worklist`] represents its active set on the device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -138,38 +99,28 @@ pub enum WorklistMode {
     /// Device-side atomic-append queue: each round launches over exactly
     /// the items pushed by the previous round, with no scan in between.
     AtomicQueue,
-    /// Atomic-append queue with blocked claims: one tail `fetch_add` per
-    /// cache-line-sized slot block instead of per item, with a fused stitch
-    /// compacting partial blocks at the round handoff.
-    BlockedQueue,
 }
 
 impl WorklistMode {
-    /// All four representations, in ablation order.
-    pub fn all() -> [WorklistMode; 4] {
-        [
-            WorklistMode::DenseStamp,
-            WorklistMode::Compacted,
-            WorklistMode::AtomicQueue,
-            WorklistMode::BlockedQueue,
-        ]
+    /// All three representations, in ablation order.
+    pub fn all() -> [WorklistMode; 3] {
+        [WorklistMode::DenseStamp, WorklistMode::Compacted, WorklistMode::AtomicQueue]
     }
 
     /// The round-trippable label used in `Algorithm` specs (`+dense`,
-    /// `+compacted`, `+queue`, `+blocked`).
+    /// `+compacted`, `+queue`).
     pub fn label(&self) -> &'static str {
         match self {
             WorklistMode::DenseStamp => "dense",
             WorklistMode::Compacted => "compacted",
             WorklistMode::AtomicQueue => "queue",
-            WorklistMode::BlockedQueue => "blocked",
         }
     }
 
-    /// `true` for the append-driven representations (per-item or blocked
-    /// queue), which share storage layout, epochs, and recovery paths.
+    /// `true` for the append-driven representation, which swaps in the
+    /// appended queue instead of rebuilding a slot list between rounds.
     pub fn is_queue(&self) -> bool {
-        matches!(self, WorklistMode::AtomicQueue | WorklistMode::BlockedQueue)
+        *self == WorklistMode::AtomicQueue
     }
 }
 
@@ -190,7 +141,7 @@ impl fmt::Display for ParseWorklistModeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "cannot parse worklist mode '{}': expected one of dense, compacted, queue, blocked",
+            "cannot parse worklist mode '{}': expected one of dense, compacted, queue",
             self.input
         )
     }
@@ -206,7 +157,6 @@ impl FromStr for WorklistMode {
             "dense" => Ok(WorklistMode::DenseStamp),
             "compacted" => Ok(WorklistMode::Compacted),
             "queue" => Ok(WorklistMode::AtomicQueue),
-            "blocked" => Ok(WorklistMode::BlockedQueue),
             _ => Err(ParseWorklistModeError { input: s.to_string() }),
         }
     }
@@ -230,10 +180,6 @@ pub struct WorklistKernels {
     /// refill stops appearing as launches and shows up as
     /// [`fused_tails`](crate::KernelStats::fused_tails) instead.
     pub refill: &'static str,
-    /// Blocked-append stitch passes (compact claimed blocks, then gather the
-    /// block fronts into the dense prefix); both are fused tails, so this
-    /// kernel accrues `fused_tails`, never `launches`.
-    pub stitch: &'static str,
 }
 
 /// What a slot-protocol thread decided about its item; applied by the
@@ -258,7 +204,7 @@ pub enum SlotAction {
 pub struct ActiveView<'a> {
     stamp: &'a DeviceBuffer<u64>,
     epoch: u64,
-    /// Present only in the queue representations.
+    /// Present only in the queue representation.
     queue: Option<DeviceQueue<'a>>,
 }
 
@@ -276,7 +222,7 @@ impl ActiveView<'_> {
         let next = self.epoch + 1;
         if self.stamp.get(v) != next {
             self.stamp.set(v, next);
-            self.queue.as_ref().expect("queue present in queue modes").push(ctx, v as u64);
+            self.queue.as_ref().expect("queue present in queue mode").push(ctx, v as u64);
         }
     }
 }
@@ -287,7 +233,7 @@ pub struct FrontierView<'a> {
     stamp: &'a DeviceBuffer<u64>,
     epoch: u64,
     nonempty: &'a DeviceBuffer<u64>,
-    /// Present only in the queue representations.
+    /// Present only in the queue representation.
     queue: Option<DeviceQueue<'a>>,
 }
 
@@ -302,10 +248,10 @@ impl FrontierView<'_> {
                 self.stamp.set(v, next);
                 self.nonempty.set(0, 1);
             }
-            WorklistMode::AtomicQueue | WorklistMode::BlockedQueue => {
+            WorklistMode::AtomicQueue => {
                 if self.stamp.get(v) != next {
                     self.stamp.set(v, next);
-                    self.queue.as_ref().expect("queue present in queue modes").push(ctx, v as u64);
+                    self.queue.as_ref().expect("queue present in queue mode").push(ctx, v as u64);
                 }
             }
         }
@@ -393,17 +339,9 @@ impl<'gpu> Worklist<'gpu> {
         }
     }
 
-    /// A fresh queue view over the pending/tail/overflow buffers, blocked or
-    /// per-item per the mode.  Built per launch: the view's identity is what
-    /// keys (and invalidates) the blocked representation's thread-local
-    /// block cursors.
+    /// A queue view over the pending/tail/overflow buffers.
     fn queue_view(&self) -> DeviceQueue<'_> {
-        let pending = self.pending_buf();
-        if self.mode == WorklistMode::BlockedQueue {
-            DeviceQueue::new_blocked(pending, &self.tail, &self.overflow)
-        } else {
-            DeviceQueue::new(pending, &self.tail, &self.overflow)
-        }
+        DeviceQueue::new(self.pending_buf(), &self.tail, &self.overflow)
     }
 
     /// The current item list, acquired (EMPTY-filled) on first use.
@@ -528,33 +466,10 @@ impl<'gpu> Worklist<'gpu> {
                 });
                 self.len = 0;
             }
-            WorklistMode::Compacted | WorklistMode::AtomicQueue | WorklistMode::BlockedQueue => {
+            WorklistMode::Compacted | WorklistMode::AtomicQueue => {
                 self.len = self.gather_into_current(&predicate, true);
             }
         }
-        self.fresh_seed = true;
-        self.compacted = false;
-        self.refilled = false;
-        self.fused_refill_done = false;
-        self.round_open = false;
-    }
-
-    /// Device-side seeding for slot-protocol drivers: like
-    /// [`Worklist::seed_by_predicate`], but the slot list is materialized in
-    /// **every** mode — [`WorklistMode::DenseStamp`] included — because
-    /// [`Worklist::begin_round`] / [`Worklist::for_each_active`] iterate the
-    /// slot list rather than scanning the domain.  The gather is charged to
-    /// the worklist's `refill` kernel, so a warm-started caller whose
-    /// predicate selects only a handful of disturbed items (e.g. an
-    /// incremental re-solve seeding the columns a graph delta touched) pays
-    /// the domain scan once and then works on a list proportional to the
-    /// seed, not to the domain.
-    pub fn seed_slots_by_predicate(&mut self, predicate: impl Fn(usize) -> bool + Sync) {
-        self.epoch += 2;
-        self.tail.set(0, 0);
-        self.nonempty.set(0, 0);
-        self.overflow.set(0, 0);
-        self.len = self.gather_into_current(&predicate, true);
         self.fresh_seed = true;
         self.compacted = false;
         self.refilled = false;
@@ -596,7 +511,7 @@ impl<'gpu> Worklist<'gpu> {
                 }
                 self.nonempty.get(0) != 0
             }
-            WorklistMode::AtomicQueue | WorklistMode::BlockedQueue => {
+            WorklistMode::AtomicQueue => {
                 if self.fresh_seed {
                     // The seed already stamped and listed this round's items.
                     self.fresh_seed = false;
@@ -657,7 +572,7 @@ impl<'gpu> Worklist<'gpu> {
                     }
                 });
             }
-            WorklistMode::AtomicQueue | WorklistMode::BlockedQueue => {
+            WorklistMode::AtomicQueue => {
                 self.gpu.launch(name, self.len, |ctx| {
                     let i = ctx.global_id;
                     ctx.add_work(1);
@@ -789,18 +704,11 @@ impl<'gpu> Worklist<'gpu> {
                     }
                 });
             }
-            WorklistMode::Compacted | WorklistMode::AtomicQueue | WorklistMode::BlockedQueue => {
+            WorklistMode::Compacted | WorklistMode::AtomicQueue => {
                 let current = self.current_buf();
                 self.gpu.launch(name, self.len, |ctx| {
-                    let i = ctx.global_id;
                     ctx.add_work(1);
-                    let v = current.get(i);
-                    // Narrow blocked rounds adopt their claimed blocks
-                    // without stitching, so the frontier may carry holes.
-                    if v == WL_EMPTY {
-                        return;
-                    }
-                    f(ctx, v as usize, &view);
+                    f(ctx, current.get(ctx.global_id) as usize, &view);
                 });
             }
         }
@@ -830,7 +738,7 @@ impl<'gpu> Worklist<'gpu> {
                 }
                 self.len > 0
             }
-            WorklistMode::AtomicQueue | WorklistMode::BlockedQueue => {
+            WorklistMode::AtomicQueue => {
                 self.take_appended_queue();
                 self.len > 0
             }
@@ -842,10 +750,6 @@ impl<'gpu> Worklist<'gpu> {
     /// current epoch's stamps when appends were dropped on overflow.  The
     /// caller has already advanced the epoch.
     fn take_appended_queue(&mut self) {
-        if self.mode == WorklistMode::BlockedQueue {
-            self.take_blocked_queue();
-            return;
-        }
         std::mem::swap(&mut self.current, &mut self.pending);
         let appended = self.tail.get(0) as usize;
         self.tail.set(0, 0);
@@ -858,95 +762,6 @@ impl<'gpu> Worklist<'gpu> {
         } else {
             self.len = appended.min(self.domain);
         }
-    }
-
-    /// Blocked-queue round handoff: the claimed blocks in `pending` hold the
-    /// appended items interleaved with [`WL_EMPTY`] holes (partial blocks,
-    /// abandoned cursors).  The *stitch* compacts them into a dense prefix
-    /// of `current` with two fused tail passes over the claimed blocks only
-    /// — never the domain — so its cost scales with the append volume:
-    ///
-    /// 1. each block compacts itself in place and reports its live count
-    ///    (one cache-line read + write per block: 2 work units);
-    /// 2. the host stages the per-block prefix offsets (like every D2D copy
-    ///    in this simulator) and each block copies its dense front to its
-    ///    offset in `current`.
-    ///
-    /// Unlike the per-item path, the buffers do **not** swap: `pending`
-    /// stays the append target, which is safe precisely because blocked
-    /// claims pre-fill with holes — stale slots from this round can never
-    /// masquerade as next round's items.
-    ///
-    /// Rounds narrower than [`STITCH_THRESHOLD`] skip the stitch entirely
-    /// and *adopt* the claimed blocks as-is (swapping the buffers like the
-    /// per-item path): iteration already skips [`WL_EMPTY`] holes, and
-    /// below one warp-issue quantum the two fused passes would cost more
-    /// model time than the holes waste.  Only wide rounds — where the
-    /// hole overhead compounds across issue rounds — pay for density.
-    fn take_blocked_queue(&mut self) {
-        let claimed = self.tail.get(0) as usize;
-        self.tail.set(0, 0);
-        if self.overflow.get(0) != 0 {
-            self.overflow.set(0, 0);
-            self.compact_from_stamps();
-            self.refilled = true;
-            return;
-        }
-        if claimed == 0 {
-            self.len = 0;
-            return;
-        }
-        let covered = claimed.min(self.domain);
-        if covered <= STITCH_THRESHOLD {
-            // Narrow round: adopt the blocks, holes and all.  The swap makes
-            // the old `current` the next append target; blocked claims
-            // pre-fill every claimed slot with `WL_EMPTY` before exposing
-            // it, so whatever this round left there is never read as data.
-            std::mem::swap(&mut self.current, &mut self.pending);
-            self.len = covered;
-            return;
-        }
-        let blocks = covered.div_ceil(QUEUE_BLOCK);
-        let counts = self.gpu.scratch().acquire(blocks, 0);
-        let pending = self.pending_buf();
-        self.gpu.launch_fused(self.names.stitch, blocks, |ctx| {
-            let b = ctx.global_id;
-            let start = b * QUEUE_BLOCK;
-            let end = (start + QUEUE_BLOCK).min(covered);
-            ctx.add_work(2);
-            let mut k = start;
-            for i in start..end {
-                let v = pending.get(i);
-                if v != WL_EMPTY {
-                    pending.set(k, v);
-                    k += 1;
-                }
-            }
-            counts.set(b, (k - start) as u64);
-        });
-        // Host-staged exclusive prefix over ≤ one word per block — the same
-        // staging every D2D copy in this simulator goes through.  A device
-        // prefix-sum ladder would cost more launches than it saves for the
-        // handful of partially filled blocks a round produces.
-        let host_counts = counts.to_vec();
-        let offsets = self.gpu.scratch().acquire(blocks, 0);
-        let mut total = 0u64;
-        for (b, &c) in host_counts.iter().enumerate() {
-            offsets.set(b, total);
-            total += c;
-        }
-        let current = self.current_buf();
-        self.gpu.launch_fused(self.names.stitch, blocks, |ctx| {
-            let b = ctx.global_id;
-            let start = b * QUEUE_BLOCK;
-            let n = counts.get(b) as usize;
-            let at = offsets.get(b) as usize;
-            ctx.add_work(2);
-            for i in 0..n {
-                current.set(at + i, pending.get(start + i));
-            }
-        });
-        self.len = total as usize;
     }
 
     // ------------------------------------------------------------------
@@ -1122,10 +937,7 @@ mod tests {
         compact_count: "wl_count",
         compact_scatter: "wl_scatter",
         refill: "wl_refill",
-        stitch: "wl_stitch",
     };
-
-    const QUEUE_MODES: [WorklistMode; 2] = [WorklistMode::AtomicQueue, WorklistMode::BlockedQueue];
 
     fn gpus() -> Vec<VirtualGpu> {
         vec![VirtualGpu::sequential(), VirtualGpu::parallel()]
@@ -1298,80 +1110,13 @@ mod tests {
 
     #[test]
     fn queue_modes_launch_no_init_kernel() {
-        for mode in QUEUE_MODES {
-            let gpu = VirtualGpu::sequential();
-            assert_eq!(run_chain(mode, &gpu, 128), 128, "{mode}");
-            let stats = gpu.stats();
-            assert_eq!(stats.launches_of("wl_init"), 0, "{mode}");
-            assert_eq!(stats.launches_of("wl_count"), 0, "{mode}");
-            // The termination check ran at least once.
-            assert!(stats.launches_of("wl_refill") >= 1, "{mode}");
-        }
-    }
-
-    #[test]
-    fn blocked_stitch_runs_fused_and_appends_fewer_tail_rmws() {
-        // Same fan-out workload (binary-tree BFS, wide rounds pushing many
-        // items per launch) in both queue representations: the blocked one
-        // must report strictly fewer hot-word RMWs on the push kernel while
-        // the stitch never counts as a launch.  The tree is deep enough
-        // that its widest levels exceed STITCH_THRESHOLD, so the dense
-        // stitch genuinely runs (narrower levels adopt their blocks
-        // without it).
-        let n = 4096usize;
-        let hot_rmws: Vec<u64> = QUEUE_MODES
-            .iter()
-            .map(|&mode| {
-                let gpu = VirtualGpu::sequential();
-                let reached = DeviceBuffer::<u64>::new(n, 0);
-                reached.set(0, 1);
-                let mut wl = Worklist::new(&gpu, mode, n, NAMES);
-                wl.seed([0]);
-                loop {
-                    wl.for_each_frontier("wl_fanout", |ctx, v, frontier| {
-                        ctx.add_work(1);
-                        for w in [2 * v + 1, 2 * v + 2] {
-                            if w < n && reached.get(w) == 0 {
-                                reached.set(w, 1);
-                                frontier.push(ctx, w);
-                            }
-                        }
-                    });
-                    if !wl.advance_frontier() {
-                        break;
-                    }
-                }
-                assert_eq!(reached.to_vec().iter().sum::<u64>(), n as u64, "{mode}");
-                let stats = gpu.stats();
-                if mode == WorklistMode::BlockedQueue {
-                    assert_eq!(stats.launches_of("wl_stitch"), 0);
-                    assert!(stats.fused_tails_of("wl_stitch") >= 1);
-                } else {
-                    assert_eq!(stats.fused_tails_of("wl_stitch"), 0);
-                }
-                stats.kernels["wl_fanout"].hot_word_atomics
-            })
-            .collect();
-        assert!(
-            hot_rmws[1] < hot_rmws[0],
-            "blocked hot-word RMWs {} should undercut per-item {}",
-            hot_rmws[1],
-            hot_rmws[0]
-        );
-    }
-
-    #[test]
-    fn blocked_narrow_rounds_adopt_blocks_without_stitching() {
-        // A chain drain pushes one item per round — far under
-        // STITCH_THRESHOLD — so the blocked queue must never stitch
-        // (neither as a launch nor as a fused tail) and still drain the
-        // whole chain through its hole-skipping frontier.
         let gpu = VirtualGpu::sequential();
-        let n = 64;
-        assert_eq!(run_chain(WorklistMode::BlockedQueue, &gpu, n), n as u64);
+        assert_eq!(run_chain(WorklistMode::AtomicQueue, &gpu, 128), 128);
         let stats = gpu.stats();
-        assert_eq!(stats.launches_of("wl_stitch"), 0);
-        assert_eq!(stats.fused_tails_of("wl_stitch"), 0);
+        assert_eq!(stats.launches_of("wl_init"), 0);
+        assert_eq!(stats.launches_of("wl_count"), 0);
+        // The termination check ran at least once.
+        assert!(stats.launches_of("wl_refill") >= 1);
     }
 
     /// Chain drain driven through the fused-refill entry point.
@@ -1404,16 +1149,14 @@ mod tests {
 
     #[test]
     fn fused_refill_removes_the_drained_round_launch() {
-        for mode in QUEUE_MODES {
-            for gpu in gpus() {
-                assert_eq!(run_chain_fused(mode, &gpu, 128), 128, "{mode}");
-                let stats = gpu.stats();
-                // The drained-queue predicate sweep ran fused into the final
-                // round's kernel tail: zero refill launches, at least one
-                // fused tail.
-                assert_eq!(stats.launches_of("wl_refill"), 0, "{mode}");
-                assert!(stats.fused_tails_of("wl_refill") >= 1, "{mode}");
-            }
+        for gpu in gpus() {
+            assert_eq!(run_chain_fused(WorklistMode::AtomicQueue, &gpu, 128), 128);
+            let stats = gpu.stats();
+            // The drained-queue predicate sweep ran fused into the final
+            // round's kernel tail: zero refill launches, at least one fused
+            // tail.
+            assert_eq!(stats.launches_of("wl_refill"), 0);
+            assert!(stats.fused_tails_of("wl_refill") >= 1);
         }
     }
 
@@ -1422,79 +1165,27 @@ mod tests {
         // The rescue scenario of `queue_refill_recovers_items_the_queue_lost`
         // driven through the fused path: a drained queue with a live
         // predicate item must still find it, without a refill launch.
-        for mode in QUEUE_MODES {
-            let gpu = VirtualGpu::sequential();
-            let found = DeviceBuffer::<u64>::new(1, 0);
-            let mut wl = Worklist::new(&gpu, mode, 16, NAMES);
-            wl.seed([3]);
-            let mut rounds = 0;
-            while wl.begin_round(|v| v == 7 && found.get(0) == 0, false) {
-                wl.for_each_active_refill(
-                    "wl_rescue",
-                    |_ctx, v, _view| {
-                        if v == 7 {
-                            found.set(0, 1);
-                        }
-                        SlotAction::Finish
-                    },
-                    |v| v == 7 && found.get(0) == 0,
-                );
-                rounds += 1;
-                assert!(rounds < 16, "{mode}");
-            }
-            assert_eq!(found.get(0), 1, "{mode}");
-            assert_eq!(gpu.stats().launches_of("wl_refill"), 0, "{mode}");
+        let gpu = VirtualGpu::sequential();
+        let found = DeviceBuffer::<u64>::new(1, 0);
+        let mut wl = Worklist::new(&gpu, WorklistMode::AtomicQueue, 16, NAMES);
+        wl.seed([3]);
+        let mut rounds = 0;
+        while wl.begin_round(|v| v == 7 && found.get(0) == 0, false) {
+            wl.for_each_active_refill(
+                "wl_rescue",
+                |_ctx, v, _view| {
+                    if v == 7 {
+                        found.set(0, 1);
+                    }
+                    SlotAction::Finish
+                },
+                |v| v == 7 && found.get(0) == 0,
+            );
+            rounds += 1;
+            assert!(rounds < 16);
         }
-    }
-
-    #[test]
-    fn blocked_claims_past_capacity_stitch_back_dense() {
-        // Block rounding claims past the capacity on a tiny domain
-        // (ceil(12/8)*8 = 16 > 12); as long as no push *lands* past it, the
-        // stitch alone recovers the dense list.
-        let gpu = VirtualGpu::sequential();
-        let n = 12;
-        let mut wl = Worklist::new(&gpu, WorklistMode::BlockedQueue, n, NAMES);
-        wl.seed(0..n);
-        assert!(wl.begin_round(|_| true, false));
-        wl.for_each_active("wl_push", |_ctx, v, _view| SlotAction::Push((v + 1) % n));
-        assert!(wl.begin_round(|_| true, false));
-        assert_eq!(wl.len(), n);
-        let seen = DeviceBuffer::<u64>::new(n, 0);
-        wl.for_each_active("wl_collect", |_ctx, v, _view| {
-            seen.set(v, 1);
-            SlotAction::Retire
-        });
-        assert_eq!(seen.to_vec(), vec![1; n]);
-    }
-
-    #[test]
-    fn blocked_overflow_rebuilds_from_stamps() {
-        // Mirror of `queue_overflow_rebuilds_from_stamps` for the blocked
-        // representation: with the overflow flag raised, the stamps must
-        // reconstruct the full membership no matter what the blocks hold.
-        let gpu = VirtualGpu::sequential();
-        let mut wl = Worklist::new(&gpu, WorklistMode::BlockedQueue, 16, NAMES);
-        wl.seed([0]);
-        assert!(wl.begin_round(|_| true, false));
-        wl.for_each_active("wl_push", |ctx, _v, view| {
-            for w in 1..5usize {
-                view.queue_push(ctx, w);
-            }
-            SlotAction::Push(5)
-        });
-        wl.overflow.set(0, 1);
-        assert!(wl.begin_round(|_| false, false));
-        assert!(wl.refilled_last_round());
-        assert_eq!(wl.len(), 5);
-        let got = DeviceBuffer::<u64>::new(16, 0);
-        wl.for_each_active("wl_collect", |_ctx, v, _view| {
-            got.set(v, 1);
-            SlotAction::Retire
-        });
-        let mut expected = vec![0u64; 16];
-        expected[1..6].fill(1);
-        assert_eq!(got.to_vec(), expected);
+        assert_eq!(found.get(0), 1);
+        assert_eq!(gpu.stats().launches_of("wl_refill"), 0);
     }
 
     #[test]
@@ -1596,19 +1287,10 @@ mod tests {
             })
             .collect();
         // Dense launches n threads per level; the materialized frontiers
-        // launch exactly one thread per frontier vertex.  The blocked
-        // variant's narrow rounds adopt whole claimed blocks (holes
-        // included), so its launches are block-rounded — at most one
-        // cache-line block per visit, still nowhere near a domain scan.
+        // launch exactly one thread per frontier vertex.
         assert!(per_mode[0] > per_mode[1], "dense {} vs compacted {}", per_mode[0], per_mode[1]);
         assert!(per_mode[0] > per_mode[2], "dense {} vs queue {}", per_mode[0], per_mode[2]);
-        assert!(per_mode[0] > per_mode[3], "dense {} vs blocked {}", per_mode[0], per_mode[3]);
         assert_eq!(per_mode[2], n as u64, "queue launches one thread per visit");
-        assert!(
-            per_mode[3] >= n as u64 && per_mode[3] <= (n * QUEUE_BLOCK) as u64,
-            "blocked launches between one thread and one block per visit, got {}",
-            per_mode[3]
-        );
     }
 
     #[test]
@@ -1678,37 +1360,6 @@ mod tests {
                 assert_eq!(count, u64::from(v % 7 == 0), "{mode}: vertex {v}");
             }
             // The gather was charged to the device model, not done host-side.
-            assert!(gpu.stats().launches_of("wl_refill") >= 1, "{mode}");
-        }
-    }
-
-    #[test]
-    fn seed_slots_by_predicate_materializes_the_list_in_every_mode() {
-        for mode in WorklistMode::all() {
-            let gpu = VirtualGpu::sequential();
-            let n = 200;
-            let live = DeviceBuffer::<u64>::new(n, 0);
-            for v in (0..n).step_by(5) {
-                live.set(v, 1);
-            }
-            let mut wl = Worklist::new(&gpu, mode, n, NAMES);
-            wl.seed_slots_by_predicate(|v| live.get(v) != 0);
-            // Unlike the frontier-style seeding, the slot list has a real
-            // host-visible length in every mode (DenseStamp included), so
-            // slot-protocol drivers can size their launches and detect
-            // emptiness.
-            assert_eq!(wl.len(), n.div_ceil(5), "{mode}");
-            let visited = DeviceBuffer::<u64>::new(n, 0);
-            let any = wl.begin_round(|v| live.get(v) != 0, false);
-            assert!(any, "{mode}");
-            wl.for_each_active("wl_push", |_ctx, v, _view| {
-                visited.set(v, visited.get(v) + 1);
-                SlotAction::Finish
-            });
-            let host = visited.to_vec();
-            for (v, &count) in host.iter().enumerate() {
-                assert_eq!(count, u64::from(v % 5 == 0), "{mode}: vertex {v} visited {count}x");
-            }
             assert!(gpu.stats().launches_of("wl_refill") >= 1, "{mode}");
         }
     }

@@ -71,26 +71,6 @@ fn kernel_panic_fails_the_launch_but_the_next_launch_succeeds() {
 }
 
 #[test]
-fn legacy_spawn_path_preserves_panic_payloads_too() {
-    let gpu =
-        VirtualGpu::new(GpuConfig::tesla_c2050(Backend::Parallel { workers: 2 }).with_executor(
-            ExecutorConfig { parallel_threshold: 2, per_launch_spawn: true, ..Default::default() },
-        ));
-    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        gpu.launch("legacy_boom", 1_000, |ctx| {
-            if ctx.global_id == 99 {
-                panic!("legacy fault");
-            }
-        });
-    }))
-    .expect_err("the launch must propagate the kernel panic");
-    assert_eq!(payload.downcast_ref::<&str>(), Some(&"legacy fault"));
-    // The device stays usable afterwards.
-    let rec = gpu.launch("legacy_after", 64, |ctx| ctx.add_work(1));
-    assert_eq!(rec.work, 64);
-}
-
-#[test]
 fn launch_statistics_flow_through_the_pooled_path() {
     let gpu = pooled(2, 2, 16);
     gpu.launch("pooled_stats", 4_096, |ctx| ctx.add_work(2));
@@ -155,10 +135,10 @@ proptest! {
         prop_assert_eq!(scan_seq.to_vec(), scan_par.to_vec());
     }
 
-    /// Both append representations — per-item and blocked claims — collect
-    /// the same multiset of items under the pooled executor as under the
-    /// sequential backend, whatever the chunk size does to the claim
-    /// pattern.  Order is unspecified, membership is not.
+    /// The append queue collects the same multiset of items under the
+    /// pooled executor as under the sequential backend, whatever the chunk
+    /// size does to the claim pattern.  Order is unspecified, membership is
+    /// not.
     #[test]
     fn queue_appends_agree_across_backends(
         data in proptest::collection::vec(0u64..50_000, 0..3_000),
@@ -167,52 +147,33 @@ proptest! {
     ) {
         let mut expected: Vec<u64> = data.iter().copied().filter(|v| v % 2 == 0).collect();
         expected.sort_unstable();
-        for blocked in [false, true] {
-            let sequential = VirtualGpu::sequential();
-            let parallel = pooled(workers, 4, chunk);
-            for gpu in [&sequential, &parallel] {
-                let src = DeviceBuffer::from_slice(&data);
-                // Blocked claims round the tail up to whole blocks, so give
-                // every potential claimant (workers + the inline path) one
-                // spare block of slack past the exact item count.
-                let cap = data.len() + (workers + 1) * primitives::QUEUE_BLOCK;
-                let items = DeviceBuffer::<u64>::new(cap, u64::MAX);
-                let tail = DeviceBuffer::<u64>::new(1, 0);
-                let overflow = DeviceBuffer::<u64>::new(1, 0);
-                let queue = if blocked {
-                    primitives::DeviceQueue::new_blocked(&items, &tail, &overflow)
-                } else {
-                    primitives::DeviceQueue::new(&items, &tail, &overflow)
-                };
-                gpu.launch("prop_queue", data.len(), |ctx| {
-                    // Only even values are appended, so the claim pattern is
-                    // data-dependent and divergent across chunks.
-                    let v = src.get(ctx.global_id);
-                    if v % 2 == 0 {
-                        assert!(queue.push(ctx, v), "queue with block slack cannot overflow");
-                    }
-                    ctx.add_work(1);
-                });
-                prop_assert!(!queue.overflowed());
-                // Blocked claims leave hole markers in partial blocks; the
-                // live items are everything under the tail that isn't one.
-                let mut got: Vec<u64> = items.to_vec()[..queue.len().min(cap)]
-                    .iter()
-                    .copied()
-                    .filter(|&v| v != primitives::QUEUE_EMPTY)
-                    .collect();
-                got.sort_unstable();
-                prop_assert_eq!(&got, &expected, "blocked={}", blocked);
-            }
+        let sequential = VirtualGpu::sequential();
+        let parallel = pooled(workers, 4, chunk);
+        for gpu in [&sequential, &parallel] {
+            let src = DeviceBuffer::from_slice(&data);
+            let items = DeviceBuffer::<u64>::new(data.len(), u64::MAX);
+            let tail = DeviceBuffer::<u64>::new(1, 0);
+            let overflow = DeviceBuffer::<u64>::new(1, 0);
+            let queue = primitives::DeviceQueue::new(&items, &tail, &overflow);
+            gpu.launch("prop_queue", data.len(), |ctx| {
+                // Only even values are appended, so the claim pattern is
+                // data-dependent and divergent across chunks.
+                let v = src.get(ctx.global_id);
+                if v % 2 == 0 {
+                    assert!(queue.push(ctx, v), "a queue sized to the input cannot overflow");
+                }
+                ctx.add_work(1);
+            });
+            prop_assert!(!queue.overflowed());
+            let mut got = items.to_vec()[..queue.len()].to_vec();
+            got.sort_unstable();
+            prop_assert_eq!(&got, &expected);
         }
     }
 
     /// A full worklist BFS reaches the same vertices at the same depths
-    /// under both backends and under three representations — the dense
-    /// stamp scan, the per-item queue tail, and the blocked-claim tail.
-    /// Small domains force the blocked variant through its overflow path
-    /// (block claims round past capacity and rebuild from stamps), so
-    /// membership survives that too.
+    /// under both backends and under every representation — the dense
+    /// stamp scan, the compacted list, and the queue tail.
     #[test]
     fn worklist_queue_bfs_agrees_across_backends(
         n in 2usize..400,
@@ -225,7 +186,6 @@ proptest! {
             compact_count: "wl_count",
             compact_scatter: "wl_scatter",
             refill: "wl_refill",
-            stitch: "wl_stitch",
         };
         let mut depths = Vec::new();
         for mode in WorklistMode::all() {

@@ -118,19 +118,18 @@ proptest! {
         prop_assert_eq!(plain, zero);
     }
 
-    /// Overflow-forcing capacities: a blocked queue whose capacity cannot
-    /// hold every rounded-up block claim must raise the overflow flag
-    /// rather than corrupt memory — every slot under the clamped tail holds
-    /// either a hole marker or a genuinely pushed value, never garbage.
+    /// Overflow-forcing capacities: a queue whose capacity cannot hold
+    /// every push must raise the overflow flag rather than corrupt memory —
+    /// every slot under the clamped tail holds a genuinely pushed value,
+    /// never garbage, and exactly the pushes past capacity are dropped.
     #[test]
-    fn blocked_queue_overflow_is_flagged_and_items_stay_valid(
+    fn queue_overflow_is_flagged_and_items_stay_valid(
         pushes in 1usize..600,
-        cap_slack in 0usize..64,
+        cap in 0usize..700,
         chunk in 1usize..128,
         workers in 2usize..5,
     ) {
-        use gpm_gpu::primitives::{DeviceQueue, QUEUE_BLOCK, QUEUE_EMPTY};
-        let cap = cap_slack.min(pushes + (workers + 1) * QUEUE_BLOCK);
+        use gpm_gpu::primitives::DeviceQueue;
         for gpu in [
             VirtualGpu::sequential(),
             VirtualGpu::new(
@@ -143,20 +142,16 @@ proptest! {
                 ),
             ),
         ] {
-            let items = DeviceBuffer::<u64>::new(cap, QUEUE_EMPTY);
+            let items = DeviceBuffer::<u64>::new(cap, u64::MAX);
             let tail = DeviceBuffer::<u64>::new(1, 0);
             let overflow = DeviceBuffer::<u64>::new(1, 0);
-            let queue = DeviceQueue::new_blocked(&items, &tail, &overflow);
-            gpu.launch("prop_blocked_overflow", pushes, |ctx| {
+            let queue = DeviceQueue::new(&items, &tail, &overflow);
+            gpu.launch("prop_queue_overflow", pushes, |ctx| {
                 // The value encodes its producer, so corruption is
                 // detectable: anything outside 1000..1000+pushes is junk.
                 queue.push(ctx, 1_000 + ctx.global_id as u64);
             });
-            let stored: Vec<u64> = items.to_vec()[..queue.len().min(cap)]
-                .iter()
-                .copied()
-                .filter(|&v| v != QUEUE_EMPTY)
-                .collect();
+            let stored = items.to_vec()[..queue.len()].to_vec();
             for &v in &stored {
                 prop_assert!(
                     (1_000..1_000 + pushes as u64).contains(&v),
@@ -168,14 +163,8 @@ proptest! {
             sorted.sort_unstable();
             sorted.dedup();
             prop_assert_eq!(sorted.len(), stored.len(), "duplicated slot values");
-            if queue.overflowed() {
-                // Some push was dropped; the stored prefix holds fewer
-                // values than were pushed.
-                prop_assert!(stored.len() < pushes);
-            } else {
-                // Every push landed.
-                prop_assert_eq!(stored.len(), pushes);
-            }
+            prop_assert_eq!(stored.len(), pushes.min(cap));
+            prop_assert_eq!(queue.overflowed(), pushes > cap);
         }
     }
 }

@@ -43,7 +43,7 @@ fn main() -> std::io::Result<()> {
     // the resident mode exists for.
     let graph = gen::road_network(220, 220, 0.05, 11).expect("generate graph");
     let fingerprint = client.put_graph(&graph)?;
-    let launch = Algorithm::gpr_default().with_worklist(WorklistMode::BlockedQueue);
+    let launch = Algorithm::gpr_default().with_worklist(WorklistMode::AtomicQueue);
     let resident = launch.with_exec(ExecMode::Persistent);
     println!(
         "solving {}x{} road grid with '{launch}' and '{resident}' …",

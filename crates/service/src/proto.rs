@@ -448,7 +448,7 @@ mod tests {
         // Wire labels carry the whole algorithm grammar, including the
         // persistent execution-mode suffix.
         let r = parse_request(
-            r#"{"op":"solve","algorithm":"G-PR-Shr@adaptive:0.7+blocked@resident","fingerprint":"0x1"}"#,
+            r#"{"op":"solve","algorithm":"G-PR-Shr@adaptive:0.7+queue@resident","fingerprint":"0x1"}"#,
         )
         .unwrap();
         match r {
@@ -456,10 +456,10 @@ mod tests {
                 assert_eq!(
                     algorithm,
                     Algorithm::gpr_default()
-                        .with_worklist(gpm_core::WorklistMode::BlockedQueue)
+                        .with_worklist(gpm_core::WorklistMode::AtomicQueue)
                         .with_exec(gpm_core::ExecMode::Persistent)
                 );
-                assert_eq!(algorithm.to_string(), "G-PR-Shr@adaptive:0.7+blocked@resident");
+                assert_eq!(algorithm.to_string(), "G-PR-Shr@adaptive:0.7+queue@resident");
             }
             other => panic!("{other:?}"),
         }
@@ -569,6 +569,15 @@ mod tests {
             (r#"{"no_op":1}"#, "missing string field 'op'"),
             (r#"{"op":"fly"}"#, "unknown op 'fly'"),
             (r#"{"op":"solve","algorithm":"G-XX","fingerprint":"0x1"}"#, "cannot parse"),
+            // The retired `blocked` worklist mode is no longer a label.
+            (
+                r#"{"op":"solve","algorithm":"G-PR-Shr@adaptive:0.7+blocked","fingerprint":"0x1"}"#,
+                "cannot parse",
+            ),
+            (
+                r#"{"op":"solve","algorithm":"G-HK+blocked@resident","fingerprint":"0x1"}"#,
+                "cannot parse",
+            ),
             (r#"{"op":"solve","algorithm":"HK","init":"magic","fingerprint":"0x1"}"#, "magic"),
             (r#"{"op":"solve","algorithm":"HK"}"#, "missing non-negative integer field 'rows'"),
             (r#"{"op":"put_graph","rows":2,"cols":2,"edges":[[0]]}"#, "edges[0]"),

@@ -462,10 +462,21 @@ mod tests {
         assert!(v.get("error").and_then(Value::as_str).unwrap().contains("0x0000000000001234"));
         assert!(v.get("job_id").and_then(Value::as_u64).is_some());
 
-        // Garbage line: ditto.
-        let (response, stop) = handle_request_line(&state, "garbage");
-        assert!(!stop);
-        assert!(response.starts_with(r#"{"ok":false"#));
+        // Garbage line, or a label of the retired `blocked` worklist mode:
+        // ditto, and the server keeps answering.
+        for bad in [
+            "garbage",
+            r#"{"op":"solve","algorithm":"G-PR-Shr@adaptive:0.7+blocked","rows":1,"cols":1,"edges":[[0,0]]}"#,
+            r#"{"op":"solve","algorithm":"G-HK+blocked@resident","rows":1,"cols":1,"edges":[[0,0]]}"#,
+        ] {
+            let (response, stop) = handle_request_line(&state, bad);
+            assert!(!stop);
+            assert!(response.starts_with(r#"{"ok":false"#), "{bad} → {response}");
+            let (response, _) = handle_request_line(&state, &line);
+            let v = parsed_ok(&response);
+            let report = v.get("report").unwrap();
+            assert_eq!(report.get("cardinality").and_then(Value::as_u64), Some(opt));
+        }
     }
 
     #[test]

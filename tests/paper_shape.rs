@@ -3,12 +3,18 @@
 //! conservative — absolute numbers depend on the host — but the *direction*
 //! of each comparison is what the paper's conclusions rest on.
 
-use gpu_pr_matching::core::gpr::{self, GprConfig, GprVariant};
+use gpu_pr_matching::core::gpr::{self, GprConfig, GprResult, GprVariant, GprWorkspace};
 use gpu_pr_matching::core::solver::{solve_with_initial, Algorithm};
 use gpu_pr_matching::core::GrStrategy;
-use gpu_pr_matching::gpu::VirtualGpu;
+use gpu_pr_matching::gpu::{StopCheck, VirtualGpu};
 use gpu_pr_matching::graph::heuristics::cheap_matching;
 use gpu_pr_matching::graph::instances::{by_name, Scale};
+use gpu_pr_matching::graph::{BipartiteCsr, Matching};
+
+/// A cold G-PR run that is never stopped.
+fn run_gpr(gpu: &VirtualGpu, g: &BipartiteCsr, init: &Matching, config: GprConfig) -> GprResult {
+    gpr::run(gpu, g, init, config, &mut GprWorkspace::new(), &StopCheck::never())
+}
 
 /// Section III-C: "the proposed G-PR-active algorithm improves the
 /// performance of each configuration … as it decreased the divergence of the
@@ -20,8 +26,8 @@ fn active_list_kernels_launch_fewer_threads_than_all_columns() {
     let graph = spec.generate(Scale::Tiny).unwrap();
     let initial = cheap_matching(&graph);
     let gpu = VirtualGpu::sequential();
-    let first = gpr::run(&gpu, &graph, &initial, GprConfig::with_variant(GprVariant::First));
-    let active = gpr::run(&gpu, &graph, &initial, GprConfig::with_variant(GprVariant::ActiveList));
+    let first = run_gpr(&gpu, &graph, &initial, GprConfig::with_variant(GprVariant::First));
+    let active = run_gpr(&gpu, &graph, &initial, GprConfig::with_variant(GprVariant::ActiveList));
     let first_threads = first.stats.device.kernels["G-PR-KRNL"].total_threads;
     let active_threads = active.stats.device.kernels["G-PR-PUSHKRNL"].total_threads;
     // At Tiny scale the gap is modest (the deficiency is a large fraction of
@@ -42,10 +48,10 @@ fn shrinking_never_increases_push_kernel_threads() {
     let graph = spec.generate(Scale::Tiny).unwrap();
     let initial = cheap_matching(&graph);
     let gpu = VirtualGpu::sequential();
-    let noshr = gpr::run(&gpu, &graph, &initial, GprConfig::with_variant(GprVariant::ActiveList));
+    let noshr = run_gpr(&gpu, &graph, &initial, GprConfig::with_variant(GprVariant::ActiveList));
     let mut shr_config = GprConfig::with_variant(GprVariant::Shrink);
     shr_config.shrink_threshold = 64; // make sure shrinking actually triggers at tiny scale
-    let shr = gpr::run(&gpu, &graph, &initial, shr_config);
+    let shr = run_gpr(&gpu, &graph, &initial, shr_config);
     assert!(shr.stats.shrinks >= 1, "expected the shrink kernel to run");
     let noshr_threads = noshr.stats.device.kernels["G-PR-PUSHKRNL"].total_threads;
     let shr_threads = shr.stats.device.kernels["G-PR-PUSHKRNL"].total_threads;
@@ -66,8 +72,8 @@ fn rare_global_relabeling_costs_more_push_work() {
     let initial = cheap_matching(&graph);
     let gpu = VirtualGpu::sequential();
     let tuned =
-        gpr::run(&gpu, &graph, &initial, GprConfig::with_strategy(GrStrategy::paper_default()));
-    let rare = gpr::run(&gpu, &graph, &initial, GprConfig::with_strategy(GrStrategy::Fixed(50)));
+        run_gpr(&gpu, &graph, &initial, GprConfig::with_strategy(GrStrategy::paper_default()));
+    let rare = run_gpr(&gpu, &graph, &initial, GprConfig::with_strategy(GrStrategy::Fixed(50)));
     assert!(tuned.stats.global_relabels >= rare.stats.global_relabels);
     let tuned_work = tuned.stats.device.kernels["G-PR-PUSHKRNL"].total_work;
     let rare_work = rare.stats.device.kernels["G-PR-PUSHKRNL"].total_work;
@@ -87,13 +93,13 @@ fn rare_global_relabeling_costs_more_push_work() {
 fn long_path_instances_need_more_loops_per_augmentation_than_kron() {
     use gpu_pr_matching::graph::gen;
     let gpu = VirtualGpu::sequential();
-    let loops_per_aug = |graph: &gpu_pr_matching::graph::BipartiteCsr| {
+    let loops_per_aug = |graph: &BipartiteCsr| {
         let initial = cheap_matching(graph);
         let deficiency =
             gpu_pr_matching::cpu::hopcroft_karp(graph, &initial).matching.cardinality()
                 - initial.cardinality();
         assert!(deficiency > 0, "test instance must leave some work for the solver");
-        let run = gpr::run(&gpu, graph, &initial, GprConfig::paper_default());
+        let run = run_gpr(&gpu, graph, &initial, GprConfig::paper_default());
         run.stats.loops as f64 / deficiency as f64
     };
     // Kronecker family: huge deficiency, short augmenting paths.
