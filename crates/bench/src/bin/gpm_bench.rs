@@ -128,17 +128,6 @@ fn main() {
             pinned,
             produced.scale
         );
-        for run in [&produced.service.baseline, &produced.service.sharded] {
-            println!(
-                "service {}x{}: hit rate {:.3}, {} reuploads, {:.0} submits/s, {:.0} jobs/s",
-                run.shards,
-                run.workers_per_shard,
-                run.cache_hit_rate,
-                run.reuploads,
-                run.submit_throughput_jobs_per_sec,
-                run.throughput_jobs_per_sec,
-            );
-        }
         let json = serde_json::to_string_pretty(&produced).expect("dump serializes");
         std::fs::write(&path, json + "\n").unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");

@@ -1,33 +1,27 @@
 //! The canonical benchmark dump (`BENCH_<n>.json`) and its regression diff.
 //!
-//! One dump per PR captures the repo's perf trajectory in two sections:
+//! A dump holds the repo's modelled-seconds trajectory in two sections:
 //!
 //! * **cells** — the canonical sweep: every Table I family (one
 //!   representative instance each, [`mini_suite`]) × the paper's
 //!   comparison algorithms, with the GPU algorithms expanded over all
-//!   three worklist modes (`dense`, `compacted`, `queue`) and
-//!   both execution modes (launch-per-round and the persistent
-//!   `@resident` megakernel loop, keyed apart by the label suffix).  GPU
-//!   cells
-//!   report *modelled device seconds* — a deterministic function of the
-//!   engine's round/work counters, independent of the host — and are
-//!   marked `pinned: true`: CI diffs them strictly across dumps and fails
-//!   on a >15 % regression.  CPU cells report host wall-clock and are
-//!   informational only.
-//! * **service** — the sharding comparison on the stress corpus: the same
-//!   cached-job burst pushed through a single-pool baseline and a
-//!   4-shard service with the same total worker count, the same
-//!   *per-shard* cache capacity (deliberately smaller than the corpus, so
-//!   the baseline thrashes while fingerprint-affinity placement keeps
-//!   every graph resident on its home shard), and the same *per-shard*
-//!   admission bound (so the shards also provide proportionally wider
-//!   admission).  Clients retry rejected submissions, exactly like a real
-//!   client facing `Overloaded`, so the submit metric measures how fast
-//!   the service actually absorbs the burst under backpressure.  Clients
-//!   follow the check-then-submit protocol: a graph absent from every
-//!   cache is re-materialized from its edge list and shipped inline, so a
-//!   miss costs what it costs a real client — and costs it in the submit
-//!   phase, where the miss happens.
+//!   three worklist modes (`dense`, `compacted`, `queue`) and both
+//!   execution modes (launch-per-round and the persistent `@resident`
+//!   megakernel loop, keyed apart by the label suffix), plus the
+//!   delta-vs-cold cells.  GPU cells report *modelled device seconds* — a
+//!   deterministic function of the engine's round/work counters,
+//!   independent of the host — and are marked `pinned: true`: CI diffs
+//!   them strictly across dumps and fails on a >15 % regression.  CPU
+//!   cells report host wall-clock and are informational only.  Every cell
+//!   goes through [`measure`]'s (or the delta sweep's) oracle assert, so a
+//!   dump is also a correctness sweep.
+//! * **deltas** — the warm-resolve vs cold-solve speedups behind the
+//!   delta cells.
+//!
+//! Host wall clock from socket to response is not measured here; the
+//! `perfbench/` package owns that clock.  Dumps up to BENCH_10 also carry
+//! an in-process `service` section; [`diff`] reads only `cells`, so old
+//! dumps stay comparable.
 //!
 //! Produce a dump with `gpm-bench --dump-bench BENCH_<n>.json`; gate a PR
 //! with `gpm-bench --diff BENCH_<a>.json BENCH_<b>.json`.  By default a
@@ -41,11 +35,8 @@ use gpm_core::solver::{self, Algorithm, DevicePolicy, Solver};
 use gpm_core::{ExecMode, SolveCtx, WorklistMode};
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::instances::{mini_suite, InstanceSpec, Scale};
-use gpm_graph::{BipartiteCsr, GraphDelta};
-use gpm_service::{GraphSource, JobSpec, Service, ServiceError};
+use gpm_graph::GraphDelta;
 use serde::{Serialize, Value};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
 
 /// Dump format version, bumped on breaking shape changes.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -73,51 +64,6 @@ pub struct BenchCell {
     /// `true` iff `seconds` is deterministic (modelled) and therefore
     /// diffed strictly by the CI regression gate.
     pub pinned: bool,
-}
-
-/// One service configuration's results on the cached-burst workload.
-#[derive(Clone, Debug, Serialize)]
-pub struct ServiceRun {
-    /// Shard count.
-    pub shards: usize,
-    /// Workers per shard (total workers = `shards * workers_per_shard`).
-    pub workers_per_shard: usize,
-    /// Graph-cache capacity *per shard*.
-    pub cache_capacity_per_shard: usize,
-    /// Jobs in the burst (clients × rounds × corpus size).
-    pub jobs: u64,
-    /// Jobs whose graph was served from a shard cache.
-    pub cache_hits: u64,
-    /// Aggregate cache hit rate over the burst (`cache_hits / jobs`).
-    pub cache_hit_rate: f64,
-    /// Jobs whose graph had been evicted and had to be re-materialized
-    /// from its edge list and re-uploaded inline.
-    pub reuploads: u64,
-    /// Admission bound *per shard* ([`ServiceBuilder::max_queue_depth`]).
-    ///
-    /// [`ServiceBuilder::max_queue_depth`]: gpm_service::ServiceBuilder::max_queue_depth
-    pub queue_depth_per_shard: usize,
-    /// `Overloaded` rejections clients had to retry through during the
-    /// burst.
-    pub admission_retries: u64,
-    /// Mean per-client wall seconds until all of its jobs were *admitted*
-    /// (rejection retries included).
-    pub submit_seconds: f64,
-    /// `jobs / submit_seconds`.
-    pub submit_throughput_jobs_per_sec: f64,
-    /// Wall seconds until every job (including re-uploads) completed.
-    pub total_seconds: f64,
-    /// `jobs / total_seconds`.
-    pub throughput_jobs_per_sec: f64,
-}
-
-/// The single-pool baseline vs the sharded service on the same workload.
-#[derive(Clone, Debug, Serialize)]
-pub struct ServiceComparison {
-    /// One shard owning all workers and the whole (per-shard-sized) cache.
-    pub baseline: ServiceRun,
-    /// Four shards, same total workers, same per-shard cache capacity.
-    pub sharded: ServiceRun,
 }
 
 /// One delta-vs-cold comparison: the same patched graph solved cold (from
@@ -161,8 +107,6 @@ pub struct BenchDump {
     /// The delta-vs-cold summary: speedups and fallback flags per
     /// (family × churn × worklist mode), backing the cells.
     pub deltas: Vec<DeltaComparison>,
-    /// The sharding comparison.
-    pub service: ServiceComparison,
 }
 
 /// Runs the canonical sweep over `specs`: GPU algorithms × all worklist
@@ -310,241 +254,12 @@ pub fn sweep_delta(specs: &[InstanceSpec], scale: Scale) -> (Vec<BenchCell>, Vec
     (cells, comparisons)
 }
 
-/// The burst parameters of the service comparison.
-const BURST_CLIENTS: usize = 8;
-const BURST_ROUNDS: usize = 24;
-/// Per-shard cache capacity: smaller than the 8-graph corpus, so a single
-/// pool cannot keep the working set resident but 4 shards (4 × capacity
-/// slots, ~2 resident graphs each under affinity) can.
-const CACHE_PER_SHARD: usize = 4;
-/// Per-shard admission bound: well under the burst size, so admission is
-/// governed by how fast the service drains — the single pool by one
-/// queue's bound, the shards by four.
-const QUEUE_DEPTH_PER_SHARD: usize = 48;
-
-/// A graph's wire form: shape plus edge list, what a client would hold.
-type WireGraph = (usize, usize, Vec<(u32, u32)>);
-
-/// Pushes the cached-job burst through one service configuration.
-fn run_service(
-    shards: usize,
-    workers_per_shard: usize,
-    graphs: &[Arc<BipartiteCsr>],
-) -> ServiceRun {
-    let service = Arc::new(
-        Service::builder()
-            .shards(shards)
-            .workers(workers_per_shard)
-            .cache_capacity(CACHE_PER_SHARD)
-            .max_queue_depth(QUEUE_DEPTH_PER_SHARD)
-            .device_policy(DevicePolicy::Sequential)
-            .build(),
-    );
-    let fingerprints: Vec<u64> = graphs.iter().map(|g| service.put_graph(Arc::clone(g))).collect();
-    // What a re-upload costs a real client: the graph only exists as its
-    // wire form (shape + edge list) and must be re-materialized.
-    let uploads: Vec<WireGraph> =
-        graphs.iter().map(|g| (g.num_rows(), g.num_cols(), g.edges().collect())).collect();
-
-    // A submission that may already have resolved: admission rejections
-    // complete the handle synchronously, so a retrying client learns its
-    // fate without blocking on the solve.
-    enum Pending {
-        Done(Result<gpm_service::JobOutcome, ServiceError>),
-        Wait(gpm_service::JobHandle),
-    }
-
-    /// Submits until admitted, yielding to the workers on every
-    /// `Overloaded` rejection.  Returns the admitted job plus how many
-    /// rejections were retried through.
-    fn submit_admitted(service: &Service, mut spec: impl FnMut() -> JobSpec) -> (Pending, u64) {
-        let mut retries = 0u64;
-        loop {
-            let handle = service.submit(spec());
-            if !handle.is_done() {
-                return (Pending::Wait(handle), retries);
-            }
-            match handle.wait() {
-                Err(ServiceError::Overloaded { .. }) => {
-                    retries += 1;
-                    std::thread::yield_now();
-                }
-                done => return (Pending::Done(done), retries),
-            }
-        }
-    }
-
-    let jobs = (BURST_CLIENTS * BURST_ROUNDS * graphs.len()) as u64;
-    let start_line = Barrier::new(BURST_CLIENTS);
-    let mut submit_sum = Duration::ZERO;
-    let mut total_seconds = Duration::ZERO;
-    let mut cache_hits = 0u64;
-    let mut reuploads = 0u64;
-    let mut admission_retries = 0u64;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..BURST_CLIENTS)
-            .map(|client| {
-                let service = Arc::clone(&service);
-                let fingerprints = &fingerprints;
-                let uploads = &uploads;
-                let start_line = &start_line;
-                scope.spawn(move || {
-                    start_line.wait();
-                    let started = Instant::now();
-                    let mut retries = 0u64;
-                    let mut reuploaded = 0u64;
-                    // Submit the whole burst back-to-back before waiting on
-                    // any result, retrying rejections until admitted: with
-                    // every client hammering a bounded service at once, the
-                    // submit metric measures how fast admission actually
-                    // absorbs the burst — queue width plus drain rate —
-                    // not an idle-service sprint.
-                    let pending: Vec<(usize, Pending)> = (0..BURST_ROUNDS)
-                        .flat_map(|round| {
-                            (0..fingerprints.len())
-                                .map(move |offset| (offset + client + round) % fingerprints.len())
-                        })
-                        .map(|i| {
-                            // Check-then-submit: refer to the graph by
-                            // fingerprint while some shard holds it, else
-                            // pay the miss right here — re-materialize
-                            // from the wire form and ship it inline.
-                            let (admitted, rejections) = if service.contains_graph(fingerprints[i])
-                            {
-                                submit_admitted(&service, || {
-                                    JobSpec::new(
-                                        GraphSource::Cached(fingerprints[i]),
-                                        Algorithm::HopcroftKarp,
-                                    )
-                                })
-                            } else {
-                                let (rows, cols, edges) = &uploads[i];
-                                let graph = Arc::new(
-                                    BipartiteCsr::from_edges(*rows, *cols, edges)
-                                        .expect("re-materialize upload"),
-                                );
-                                reuploaded += 1;
-                                submit_admitted(&service, || {
-                                    JobSpec::new(Arc::clone(&graph), Algorithm::HopcroftKarp)
-                                })
-                            };
-                            retries += rejections;
-                            (i, admitted)
-                        })
-                        .collect();
-                    let submitted = started.elapsed();
-                    let mut hits = 0u64;
-                    for (i, admitted) in pending {
-                        let result = match admitted {
-                            Pending::Done(result) => result,
-                            Pending::Wait(handle) => handle.wait(),
-                        };
-                        match result {
-                            Ok(outcome) => hits += u64::from(outcome.cache_hit),
-                            Err(ServiceError::UnknownGraph { .. }) => {
-                                // Evicted: pay the real miss penalty —
-                                // rebuild from the wire form and re-upload.
-                                let (rows, cols, edges) = &uploads[i];
-                                let graph = Arc::new(
-                                    BipartiteCsr::from_edges(*rows, *cols, edges)
-                                        .expect("re-materialize upload"),
-                                );
-                                reuploaded += 1;
-                                let (resubmitted, rejections) = submit_admitted(&service, || {
-                                    JobSpec::new(Arc::clone(&graph), Algorithm::HopcroftKarp)
-                                });
-                                retries += rejections;
-                                let result = match resubmitted {
-                                    Pending::Done(result) => result,
-                                    Pending::Wait(handle) => handle.wait(),
-                                };
-                                result.expect("re-uploaded solve");
-                            }
-                            Err(other) => panic!("burst job on graph {i}: {other}"),
-                        }
-                    }
-                    (submitted, started.elapsed(), hits, reuploaded, retries)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (submitted, total, hits, reuploaded, retries) =
-                handle.join().expect("burst client");
-            submit_sum += submitted;
-            total_seconds = total_seconds.max(total);
-            cache_hits += hits;
-            reuploads += reuploaded;
-            admission_retries += retries;
-        }
-    });
-
-    // The submit metric is the *mean* per-client time to get its share of
-    // the burst admitted; with bounded queues this phase lasts long enough
-    // (hundreds of milliseconds) to be robust against scheduler noise.
-    let submit_seconds = submit_sum.as_secs_f64() / BURST_CLIENTS as f64;
-    ServiceRun {
-        shards,
-        workers_per_shard,
-        cache_capacity_per_shard: CACHE_PER_SHARD,
-        jobs,
-        cache_hits,
-        cache_hit_rate: cache_hits as f64 / jobs as f64,
-        reuploads,
-        queue_depth_per_shard: QUEUE_DEPTH_PER_SHARD,
-        admission_retries,
-        submit_seconds,
-        submit_throughput_jobs_per_sec: jobs as f64 / submit_seconds,
-        total_seconds: total_seconds.as_secs_f64(),
-        throughput_jobs_per_sec: jobs as f64 / total_seconds.as_secs_f64(),
-    }
-}
-
-/// Samples one configuration [`SERVICE_SAMPLES`] times and keeps the
-/// peak-admission sample: the submit metric is the one at the mercy of
-/// scheduler noise (a preempted client thread inflates its submit time by
-/// a whole quantum), and best-of-N is the standard way to report peak
-/// throughput.
-fn best_service_run(
-    shards: usize,
-    workers_per_shard: usize,
-    graphs: &[Arc<BipartiteCsr>],
-) -> ServiceRun {
-    (0..SERVICE_SAMPLES)
-        .map(|_| run_service(shards, workers_per_shard, graphs))
-        .max_by(|a, b| {
-            a.submit_throughput_jobs_per_sec.total_cmp(&b.submit_throughput_jobs_per_sec)
-        })
-        .expect("at least one sample")
-}
-
-/// Samples per service configuration (best one is reported).
-const SERVICE_SAMPLES: usize = 3;
-
-/// Runs the sharding comparison: single pool vs 4 shards, equal total
-/// workers, equal per-shard cache capacity.
-pub fn service_comparison() -> ServiceComparison {
-    let graphs: Vec<Arc<BipartiteCsr>> = mini_suite()
-        .iter()
-        .map(|spec| Arc::new(spec.generate(Scale::Tiny).expect("generate")))
-        .collect();
-    ServiceComparison {
-        baseline: best_service_run(1, 4, &graphs),
-        sharded: best_service_run(4, 1, &graphs),
-    }
-}
-
 /// Produces the full dump at `scale`.
 pub fn produce(scale: Scale) -> BenchDump {
     let mut cells = sweep_cells(&mini_suite(), scale);
     let (delta_cells, deltas) = sweep_delta(&mini_suite(), scale);
     cells.extend(delta_cells);
-    BenchDump {
-        schema: SCHEMA_VERSION,
-        scale: format!("{scale:?}").to_lowercase(),
-        cells,
-        deltas,
-        service: service_comparison(),
-    }
+    BenchDump { schema: SCHEMA_VERSION, scale: format!("{scale:?}").to_lowercase(), cells, deltas }
 }
 
 /// The outcome of diffing two dumps' pinned cells.
@@ -694,6 +409,30 @@ mod tests {
         // Unpinned cells are never part of the gate.
         assert!(ok.missing.is_empty());
         assert!(ok.new_cells.is_empty());
+
+        // Dumps up to BENCH_10 also carry an in-process `service` section
+        // that the sweep no longer writes: diff ignores it and still
+        // compares every pinned cell, with the same verdicts.
+        let Value::Map(mut legacy) = old.clone() else { panic!("dump is a JSON object") };
+        legacy.push((
+            "service".to_string(),
+            serde_json::from_str(
+                r#"{"baseline": {"shards": 1, "workers_per_shard": 4, "cache_hit_rate": 0.109},
+                    "sharded": {"shards": 4, "workers_per_shard": 1, "cache_hit_rate": 1.0}}"#,
+            )
+            .unwrap(),
+        ));
+        let legacy = Value::Map(legacy);
+        for new in [&new, &dump_with(&[("a", 1.1, true), ("b", 1.5, true)])] {
+            let plain = diff(&old, new, 0.15, true).unwrap();
+            let with_service = diff(&legacy, new, 0.15, true).unwrap();
+            assert_eq!(with_service.compared, plain.compared);
+            assert_eq!(with_service.regressions, plain.regressions);
+            assert_eq!(with_service.missing, plain.missing);
+            assert_eq!(with_service.improvements, plain.improvements);
+            assert_eq!(with_service.new_cells, plain.new_cells);
+            assert_eq!(with_service.passed(), plain.passed());
+        }
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //! | `fig4_individual_speedups` | Figure 4 — per-instance speedup of G-PR over PR |
 //! | `table1_runtimes` | Table I — per-instance runtimes of G-PR, G-HKDW, P-DBFS, PR |
 //!
-//! plus Criterion micro/ablation benches under `benches/` (including
-//! `solver_reuse`, which quantifies cold-per-call vs warm-session solving),
-//! and the `gpm-bench` binary, which produces the canonical `BENCH_<n>.json`
-//! perf dump (`--dump-bench`) and diffs two dumps as the CI regression gate
-//! (`--diff`) — see [`dump`].
+//! plus the `gpm-bench` binary, which produces the canonical `BENCH_<n>.json`
+//! modelled-seconds dump (`--dump-bench`) and diffs two dumps as the CI
+//! regression gate (`--diff`) — see [`dump`].  Host wall clock from socket
+//! to response is the separate `perfbench/` package's job.
 //!
 //! The library part contains the pieces the binaries share: instance
 //! preparation ([`runner`]), profile computations ([`profiles`]), and report
@@ -24,7 +23,7 @@
 //! `P-DBFS@4`, …) parsed by `Algorithm::from_str`.  All measurements use
 //! [`gpm_core::solver::SolveReport::comparable_seconds`]: modelled device
 //! time for the GPU algorithms and host wall-clock for the CPU ones — see
-//! `EXPERIMENTS.md` for the methodology and its limitations.
+//! the README's "Benchmarks and paper figures" for the two clocks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

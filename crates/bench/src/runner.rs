@@ -1,8 +1,8 @@
-//! Instance preparation and measurement plumbing shared by all figure/table
-//! binaries and the Criterion benches.
+//! Instance preparation and measurement plumbing shared by the figure/table
+//! binaries and the `gpm-bench` dump.
 
-use gpm_core::solver::{self, Algorithm, Solver};
-use gpm_core::{GhkVariant, SolveError};
+use gpm_core::solver::{Algorithm, Solver};
+use gpm_core::SolveError;
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::instances::{InstanceSpec, Scale};
 use gpm_graph::{BipartiteCsr, Matching};
@@ -103,20 +103,10 @@ pub fn measure(
     })
 }
 
-/// The four algorithms of the paper's headline comparison (Figures 2–4,
-/// Table I): G-PR-Shr (adaptive, 0.7), G-HKDW, P-DBFS (8 threads), PR.
-pub fn paper_algorithms() -> Vec<Algorithm> {
-    solver::paper_comparison_set()
-}
-
-/// Convenience: G-HKDW as an [`Algorithm`].
-pub fn ghkdw() -> Algorithm {
-    Algorithm::ghk(GhkVariant::Hkdw)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpm_core::solver::paper_comparison_set;
     use gpm_graph::instances;
 
     #[test]
@@ -127,7 +117,7 @@ mod tests {
         assert!(instance.graph.num_rows() >= 256);
 
         let mut solver = Solver::new();
-        for alg in paper_algorithms() {
+        for alg in paper_comparison_set() {
             let m = measure(&instance, alg, &mut solver).unwrap();
             assert_eq!(m.cardinality, instance.maximum_cardinality);
             assert!(m.seconds >= 0.0);
@@ -135,7 +125,7 @@ mod tests {
             assert_eq!(m.algorithm_spec.parse::<Algorithm>().unwrap(), alg);
         }
         // One warm engine per algorithm was retained by the session.
-        assert_eq!(solver.warm_engine_count(), paper_algorithms().len());
+        assert_eq!(solver.warm_engine_count(), paper_comparison_set().len());
     }
 
     #[test]
@@ -149,7 +139,7 @@ mod tests {
 
     #[test]
     fn paper_algorithm_labels() {
-        let labels: Vec<String> = paper_algorithms().iter().map(|a| a.label()).collect();
+        let labels: Vec<String> = paper_comparison_set().iter().map(|a| a.label()).collect();
         assert_eq!(labels, vec!["G-PR-Shr", "G-HKDW", "P-DBFS", "PR"]);
     }
 }

@@ -57,6 +57,11 @@ pub struct JobSpec {
     /// pre-register the token elsewhere (the TCP server does this so a
     /// second connection can cancel by job id).
     pub cancel: CancelToken,
+    /// Test hook: the worker parks the job until [`JobSpec::cancel`] fires
+    /// instead of solving it, so a test can hold a worker busy for exactly
+    /// as long as it needs to.
+    #[cfg(test)]
+    pub(crate) park_until_cancelled: bool,
 }
 
 impl JobSpec {
@@ -70,6 +75,8 @@ impl JobSpec {
             priority: 0,
             deadline: None,
             cancel: CancelToken::new(),
+            #[cfg(test)]
+            park_until_cancelled: false,
         }
     }
 

@@ -531,25 +531,15 @@ mod tests {
         assert_eq!(panic_message(p.as_ref()), "non-string panic payload");
     }
 
-    /// A job that keeps a single worker busy until the returned handle is
-    /// cancelled: a Table-I-scale RMAT instance solved from an empty
-    /// initial matching takes far longer than the test's enqueue work.
+    /// A job that keeps one worker busy until the returned handle is
+    /// cancelled, however loaded the host: the worker parks it instead of
+    /// solving it.  A parked job never reaches the cache, so placement
+    /// spreads two blockers on a 2-shard service one per shard by load.
     fn blocker(service: &Service) -> crate::JobHandle {
-        submit_blocker(service, blocker_graph(29))
-    }
-
-    /// A blocker's graph, by RMAT seed.  Multi-shard tests need *distinct*
-    /// blocker graphs: two blockers on the same graph share a fingerprint,
-    /// and affinity would route the second onto the first's shard instead
-    /// of spreading one per shard.  They also generate both graphs *before*
-    /// submitting either — generation is slow enough that the first blocker
-    /// could otherwise finish before the second is submitted.
-    fn blocker_graph(seed: u64) -> gpm_graph::BipartiteCsr {
-        gen::rmat(gen::RmatParams::graph500(15, 16), seed).unwrap()
-    }
-
-    fn submit_blocker(service: &Service, g: gpm_graph::BipartiteCsr) -> crate::JobHandle {
-        service.submit(JobSpec::new(g, Algorithm::HopcroftKarp).with_init(InitHeuristic::Empty))
+        let g = gen::uniform_random(10, 10, 40, 29).unwrap();
+        let mut spec = JobSpec::new(g, Algorithm::HopcroftKarp);
+        spec.park_until_cancelled = true;
+        service.submit(spec)
     }
 
     #[test]
@@ -626,7 +616,11 @@ mod tests {
     #[test]
     fn cancelling_a_running_solve_stops_it_within_rounds() {
         let service = Service::builder().workers(1).build();
-        let handle = blocker(&service);
+        // A real solve that outlasts the sleep: a Table-I-scale RMAT
+        // instance solved from an empty initial matching.
+        let g = gen::rmat(gen::RmatParams::graph500(15, 16), 29).unwrap();
+        let handle = service
+            .submit(JobSpec::new(g, Algorithm::HopcroftKarp).with_init(InitHeuristic::Empty));
         std::thread::sleep(Duration::from_millis(5));
         handle.cancel();
         match handle.wait() {
@@ -918,9 +912,8 @@ mod tests {
     fn hot_shard_full_spills_to_empty_shard_and_hint_names_the_least_loaded() {
         let service = Service::builder().shards(2).workers(1).max_queue_depth(1).build();
         // Occupy both workers so queued jobs stay queued.
-        let (bg0, bg1) = (blocker_graph(29), blocker_graph(31));
-        let b0 = submit_blocker(&service, bg0);
-        let b1 = submit_blocker(&service, bg1);
+        let b0 = blocker(&service);
+        let b1 = blocker(&service);
         assert!(
             wait_until(Duration::from_secs(20), || {
                 service.shard_stats().iter().all(|s| s.running == 1)
@@ -948,12 +941,11 @@ mod tests {
         b1.cancel();
         assert!(c1.wait().is_ok());
         assert!(c2.wait().is_ok());
-        // The blockers either succumbed to the cancel or won the race with
-        // a clean solve; either way the ledger must balance.
+        // The blockers end by the cancel, and the ledger must balance.
         for b in [b0, b1] {
             match b.wait() {
-                Ok(_) | Err(ServiceError::Cancelled { .. }) => {}
-                Err(other) => panic!("unexpected blocker error: {other}"),
+                Err(ServiceError::Cancelled { .. }) => {}
+                other => panic!("unexpected blocker result: {other:?}"),
             }
         }
         let stats = service.stats();
@@ -965,9 +957,8 @@ mod tests {
     #[test]
     fn drained_shard_requeues_queued_jobs_and_finishes_in_flight() {
         let service = Service::builder().shards(2).workers(1).build();
-        let (bg0, bg1) = (blocker_graph(29), blocker_graph(31));
-        let b0 = submit_blocker(&service, bg0);
-        let b1 = submit_blocker(&service, bg1);
+        let b0 = blocker(&service);
+        let b1 = blocker(&service);
         assert!(
             wait_until(Duration::from_secs(20), || {
                 service.shard_stats().iter().all(|s| s.running == 1)
@@ -1002,9 +993,8 @@ mod tests {
         let _ = b1.wait();
         let stats = service.stats();
         assert_eq!(stats.submitted, stats.completed + stats.failed);
-        // The drained shard finished its in-flight blocker itself (the
-        // cancel may lose the race to a clean solve; either way it ends on
-        // shard 0 and nowhere else).
+        // The drained shard finished its in-flight blocker itself: it ends
+        // on shard 0 and nowhere else.
         let s0 = service.shard_stats()[0].stats.clone();
         assert_eq!(s0.completed + s0.failed, 1, "shard 0's blocker finished on shard 0");
         // Draining the last shard quiesces the service.

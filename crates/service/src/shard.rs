@@ -468,6 +468,13 @@ fn run_job(
     started: Instant,
 ) -> Result<JobOutcome, ServiceError> {
     let spec = &job.spec;
+    #[cfg(test)]
+    if spec.park_until_cancelled {
+        while !spec.cancel.is_cancelled() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        return Err(ServiceError::Cancelled { rounds_completed: 0, partial_cardinality: 0 });
+    }
     let (graph, cache_hit, fingerprint) = match &spec.graph {
         GraphSource::Inline(graph) => {
             // Register inline uploads in this shard's cache so follow-up
