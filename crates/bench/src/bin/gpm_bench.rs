@@ -8,15 +8,18 @@
 //! ```
 //!
 //! `--list-algorithms` prints the full algorithm-label grammar — every GPU
-//! family × worklist mode × execution mode plus the CPU baselines — each
-//! line a label `--algorithms` (and the service wire protocol) accepts.
+//! family × accepted worklist × execution mode plus the CPU baselines, one
+//! label per distinct program — each line a label `--algorithms` (and the
+//! service wire protocol) accepts.
 //!
 //! The dump's GPU cells carry modelled device seconds (deterministic, so
 //! `pinned: true`); `--diff` fails (exit 1) when any pinned cell present
 //! in both dumps is slower by more than the allowed fraction.  A pinned
-//! cell of the old dump *missing* from the new one is a warning by
-//! default (renamed sweeps shouldn't brick a local run) and a failure
-//! under `--require-pinned`, which is what CI passes.
+//! cell of the old dump absent from the new one is *retired* when it
+//! matches a pair of the new dump's `retired` section (counted, never a
+//! failure); otherwise it is *missing*: a warning by default (renamed
+//! sweeps shouldn't brick a local run) and a failure under
+//! `--require-pinned`, which is what CI passes.
 
 use gpm_bench::dump;
 use gpm_graph::instances::Scale;
@@ -149,10 +152,12 @@ fn main() {
         std::process::exit(2);
     });
     println!(
-        "{} pinned cells compared ({} faster, allowed regression {:.0}%)",
+        "{} pinned cells compared ({} faster, allowed regression {:.0}%), {} retired, {} missing",
         report.compared,
         report.improvements.len(),
-        cli.max_regression * 100.0
+        cli.max_regression * 100.0,
+        report.retired.len(),
+        report.missing.len()
     );
     for (key, old, new) in &report.regressions {
         println!("REGRESSION {key}: {old:.6}s -> {new:.6}s ({:+.1}%)", (new / old - 1.0) * 100.0);

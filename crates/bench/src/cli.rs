@@ -113,8 +113,8 @@ pub fn usage() -> String {
      [--algorithms <spec,...>] [--json <path>]\n\
      algorithm specs: G-PR-First|G-PR-NoShr|G-PR-Shr[@adaptive:<k>|@fix:<k>], \
      G-HK, G-HKDW, PR[@<k>], PFP, HK, HKDW, P-DBFS[@<threads>]\n\
-     GPU specs accept a worklist suffix +dense|+compacted|+queue \
-     (e.g. G-PR-Shr@adaptive:0.7+queue, G-HKDW+queue) and a final \
+     G-PR-First, G-PR-Shr, G-HK and G-HKDW accept the worklist suffix +queue \
+     (e.g. G-PR-Shr@adaptive:0.7+queue, G-HKDW+queue); GPU specs accept a final \
      execution-mode suffix @launch|@resident \
      (e.g. G-PR-Shr@adaptive:0.7+queue@resident); \
      see gpm-bench --list-algorithms for the full grammar"
@@ -122,24 +122,26 @@ pub fn usage() -> String {
 }
 
 /// The full algorithm-label grammar, enumerated: the grammar rule, then
-/// every GPU family × worklist mode × execution mode, then the CPU
-/// baselines.  Every non-comment line after a section header is a
+/// every GPU family × accepted worklist ([`Algorithm::worklists`]) ×
+/// execution mode, then the CPU baselines — one label per distinct
+/// program.  Every non-comment line after a section header is a
 /// round-trippable [`Algorithm`] label (`gpm-bench --list-algorithms`).
 pub fn label_grammar() -> String {
-    use gpm_core::{ExecMode, GhkVariant, GprVariant, GrStrategy, WorklistMode};
+    use gpm_core::{ExecMode, GhkVariant, GprVariant, GrStrategy};
     let mut out = String::from(
         "algorithm label grammar:\n\
          \u{20} <family>[@<strategy>][+<worklist>][@<exec>]\n\
          \u{20} families:  G-PR-First | G-PR-NoShr | G-PR-Shr  \
          (strategy @adaptive:<k> | @fix:<k>, default @adaptive:0.7)\n\
          \u{20}            G-HK | G-HKDW | PR[@<k>] | PFP | HK | HKDW | P-DBFS[@<threads>]\n\
-         \u{20} worklist (GPU only):  +dense | +compacted | +queue  \
-         (default: the family's paper representation, printed suffix-free)\n\
+         \u{20} worklist (GPU only):  +queue, the atomic-append list, on G-PR-First, \
+         G-PR-Shr, G-HK and G-HKDW  (default: the family's paper representation, \
+         suffix-free)\n\
          \u{20} exec (GPU only):  @launch (default: one kernel launch per round) | \
          @resident (persistent megakernel round loop behind the device's \
          software global barrier)\n",
     );
-    out.push_str("\nGPU labels (family x worklist x exec):\n");
+    out.push_str("\nGPU labels (family x accepted worklist x exec):\n");
     for algorithm in [
         Algorithm::gpr(GprVariant::First, GrStrategy::paper_default()),
         Algorithm::gpr(GprVariant::ActiveList, GrStrategy::paper_default()),
@@ -147,10 +149,10 @@ pub fn label_grammar() -> String {
         Algorithm::ghk(GhkVariant::Hk),
         Algorithm::ghk(GhkVariant::Hkdw),
     ] {
-        for mode in WorklistMode::all() {
+        for program in algorithm.with_each_worklist() {
             for exec in ExecMode::all() {
                 out.push_str("  ");
-                out.push_str(&algorithm.with_worklist(mode).with_exec(exec).to_string());
+                out.push_str(&program.with_exec(exec).to_string());
                 out.push('\n');
             }
         }
@@ -256,6 +258,7 @@ mod tests {
         );
         // Junk suffixes are rejected with a parse error.
         assert!(parse(args(&["--algorithms", "G-PR-Shr+stack"])).is_err());
+        assert!(parse(args(&["--algorithms", "G-HKDW+compacted"])).is_err());
         assert!(parse(args(&["--algorithms", "HK+queue"])).is_err());
     }
 
@@ -293,14 +296,17 @@ mod tests {
                 labels.push(line.trim());
             }
         }
-        // 5 GPU families × 3 worklist modes × 2 exec modes + 5 CPU labels.
-        assert_eq!(labels.len(), 35, "{grammar}");
+        // 9 GPU programs (G-PR-First, G-PR-Shr, G-HK and G-HKDW with and
+        // without +queue, and G-PR-NoShr) × 2 exec modes + 5 CPU labels.
+        assert_eq!(labels.len(), 23, "{grammar}");
+        let distinct: std::collections::HashSet<&str> = labels.iter().copied().collect();
+        assert_eq!(distinct.len(), 23, "{grammar}");
         for label in labels {
             let alg: Algorithm = label.parse().unwrap_or_else(|e| panic!("{label}: {e}"));
-            // Default suffixes are allowed to vanish when re-printed, but
-            // re-parsing the printed form must be a fixed point.
-            let printed = alg.to_string();
-            assert_eq!(printed.parse::<Algorithm>().unwrap(), alg, "{label}");
+            // One spelling per program: every listed label re-prints to
+            // itself.
+            assert_eq!(alg.to_string(), label);
+            assert!(alg.validate().is_ok(), "{label}");
         }
         assert!(grammar.contains("@resident"), "{grammar}");
     }

@@ -1,22 +1,25 @@
 //! The canonical benchmark dump (`BENCH_<n>.json`) and its regression diff.
 //!
-//! A dump holds the repo's modelled-seconds trajectory in two sections:
+//! A dump holds the repo's modelled-seconds trajectory in three sections:
 //!
 //! * **cells** — the canonical sweep: every Table I family (one
-//!   representative instance each, [`mini_suite`]) × the paper's
-//!   comparison algorithms, with the GPU algorithms expanded over all
-//!   three worklist modes (`dense`, `compacted`, `queue`) and both
-//!   execution modes (launch-per-round and the persistent `@resident`
-//!   megakernel loop, keyed apart by the label suffix), plus the
-//!   delta-vs-cold cells.  GPU cells report *modelled device seconds* — a
-//!   deterministic function of the engine's round/work counters,
-//!   independent of the host — and are marked `pinned: true`: CI diffs
-//!   them strictly across dumps and fails on a >15 % regression.  CPU
-//!   cells report host wall-clock and are informational only.  Every cell
-//!   goes through [`measure`]'s (or the delta sweep's) oracle assert, so a
-//!   dump is also a correctness sweep.
+//!   representative instance each, [`mini_suite`]) × G-PR-NoShr and the
+//!   paper's comparison algorithms, each GPU one expanded over its
+//!   accepted worklists ([`Algorithm::worklists`]) and both execution
+//!   modes (launch-per-round and the persistent `@resident` megakernel
+//!   loop, keyed apart by the label suffix), plus the delta-vs-cold cells
+//!   of the three G-PR programs among them.  GPU cells report
+//!   *modelled device seconds* — a deterministic function of the engine's
+//!   round/work counters, independent of the host — and are marked
+//!   `pinned: true`: CI diffs them strictly across dumps and fails on a
+//!   regression over 15 %.  CPU cells report host wall-clock and are
+//!   informational only.  Every cell goes through [`measure`]'s (or the
+//!   delta sweep's) oracle assert, so a dump is also a correctness sweep.
 //! * **deltas** — the warm-resolve vs cold-solve speedups behind the
 //!   delta cells.
+//! * **retired** — the (algorithm, worklist) pairs whose pinned cells
+//!   earlier dumps carry but no sweep produces any more, each with the
+//!   reason ([`RETIRED`]).
 //!
 //! Host wall clock from socket to response is not measured here; the
 //! `perfbench/` package owns that clock.  Dumps up to BENCH_10 also carry
@@ -24,19 +27,20 @@
 //! dumps stay comparable.
 //!
 //! Produce a dump with `gpm-bench --dump-bench BENCH_<n>.json`; gate a PR
-//! with `gpm-bench --diff BENCH_<a>.json BENCH_<b>.json`.  By default a
-//! pinned cell of the old dump that is *missing* from the new one is only
-//! warned about (renamed sweeps should not hard-fail a lenient local run);
-//! pass `--require-pinned` — CI does — to make vanished pinned cells fail
-//! the gate.
+//! with `gpm-bench --diff BENCH_<a>.json BENCH_<b>.json`.  A pinned cell of
+//! the old dump that is missing from the new one is *retired* when it
+//! matches a [`RETIRED`] pair; any other missing pinned cell only warns by
+//! default (renamed sweeps should not hard-fail a lenient local run) and
+//! fails the gate under `--require-pinned`, which CI passes.
 
 use crate::runner::{measure, prepare_instance};
 use gpm_core::solver::{self, Algorithm, DevicePolicy, Solver};
-use gpm_core::{ExecMode, SolveCtx, WorklistMode};
+use gpm_core::{ExecMode, GprVariant, GrStrategy, SolveCtx};
 use gpm_graph::heuristics::cheap_matching;
 use gpm_graph::instances::{mini_suite, InstanceSpec, Scale};
 use gpm_graph::GraphDelta;
 use serde::{Serialize, Value};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Dump format version, bumped on breaking shape changes.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -68,7 +72,8 @@ pub struct BenchCell {
 
 /// One delta-vs-cold comparison: the same patched graph solved cold (from
 /// the cheap initial matching) and warm (the parent's matching repaired
-/// through the delta by [`Solver::resolve`]), in one worklist mode.
+/// through the delta by [`Solver::resolve`]), by one G-PR program (its
+/// worklist names it: `dense` is G-PR-NoShr, the others G-PR-Shr).
 #[derive(Clone, Debug, Serialize)]
 pub struct DeltaComparison {
     /// Parent instance name (a Table I family representative).
@@ -94,6 +99,40 @@ pub struct DeltaComparison {
     pub fell_back_to_cold: bool,
 }
 
+/// A retired (algorithm, worklist) pair: the pinned cells of earlier dumps
+/// that no sweep produces any more.  A cell matches when its `algorithm`,
+/// stripped of a `cold(…)` / `resolve(…)` wrapper and of the `@resident`
+/// suffix, equals `algorithm`, and its worklist equals `worklist`.
+#[derive(Clone, Debug, Serialize)]
+pub struct RetiredPair {
+    /// Algorithm spec without worklist or execution-mode suffix.
+    pub algorithm: &'static str,
+    /// Worklist mode of the retired cells.
+    pub worklist: &'static str,
+    /// Why no sweep produces these cells any more.
+    pub reason: &'static str,
+}
+
+/// Every retired pair, written to each dump's `retired` section.
+pub const RETIRED: [RetiredPair; 4] = [
+    RetiredPair { algorithm: "G-PR-Shr@adaptive:0.7", worklist: "blocked", reason: BLOCKED },
+    RetiredPair { algorithm: "G-HKDW", worklist: "blocked", reason: BLOCKED },
+    RetiredPair {
+        algorithm: "G-HKDW",
+        worklist: "compacted",
+        reason: "a compacted BFS frontier runs as the atomic-append list, so these cells \
+                 equal G-HKDW + queue",
+    },
+    RetiredPair {
+        algorithm: "G-PR-Shr@adaptive:0.7",
+        worklist: "dense",
+        reason: "G-PR-Shr on the dense worklist never shrinks, so it is G-PR-NoShr: the \
+                 G-PR-NoShr@adaptive:0.7 + dense cells carry these values",
+    },
+];
+
+const BLOCKED: &str = "the blocked worklist mode was deleted; BENCH_10 is its last dump";
+
 /// A complete dump.
 #[derive(Clone, Debug, Serialize)]
 pub struct BenchDump {
@@ -105,55 +144,57 @@ pub struct BenchDump {
     /// both halves of every comparison are pinned — modelled seconds).
     pub cells: Vec<BenchCell>,
     /// The delta-vs-cold summary: speedups and fallback flags per
-    /// (family × churn × worklist mode), backing the cells.
+    /// (family × churn × G-PR program), backing the cells.
     pub deltas: Vec<DeltaComparison>,
+    /// The retired pairs ([`RETIRED`]) with their reasons.
+    pub retired: Vec<RetiredPair>,
 }
 
-/// Runs the canonical sweep over `specs`: GPU algorithms × all worklist
-/// modes × both execution modes (pinned, modelled seconds) plus the CPU
-/// comparison algorithms (unpinned, wall-clock).
+/// A cell's key fields: the algorithm spec without its worklist suffix, and
+/// the worklist label (`host` for CPU algorithms).
+fn cell_key(algorithm: Algorithm) -> (String, &'static str) {
+    match algorithm.worklist() {
+        Some(mode) => (algorithm.with_worklist(algorithm.worklists()[0]).to_string(), mode.label()),
+        None => (algorithm.to_string(), "host"),
+    }
+}
+
+/// Runs the canonical sweep over `specs`: G-PR-NoShr and the paper's
+/// comparison algorithms, the GPU ones × their accepted worklists × both
+/// execution modes (pinned, modelled seconds), the CPU ones once
+/// (unpinned, wall-clock).
 ///
 /// Launch-per-round cells keep their historical keys (the exec mode never
 /// appears in a default-mode label); persistent cells carry the `@resident`
-/// suffix in their `algorithm` field and therefore arrive as *new* keys in
-/// the diff, pinned against the next dump.
+/// suffix in their `algorithm` field.
 pub fn sweep_cells(specs: &[InstanceSpec], scale: Scale) -> Vec<BenchCell> {
     let mut solver = Solver::builder()
         .device_policy(DevicePolicy::Sequential)
         .build()
         .expect("valid solver config");
+    let noshr = Algorithm::gpr(GprVariant::ActiveList, GrStrategy::paper_default());
+    let algorithms = [vec![noshr], solver::paper_comparison_set()].concat();
     let mut cells = Vec::new();
     for spec in specs {
         let instance = prepare_instance(spec, scale);
-        for algorithm in solver::paper_comparison_set() {
-            let gpu = algorithm.label().starts_with("G-");
-            let variants: Vec<(Algorithm, &'static str)> = if gpu {
-                ExecMode::all()
-                    .into_iter()
-                    .flat_map(|exec| {
-                        WorklistMode::all().into_iter().map(move |mode| {
-                            (algorithm.with_worklist(mode).with_exec(exec), mode.label())
-                        })
-                    })
-                    .collect()
+        for program in algorithms.iter().flat_map(|a| a.with_each_worklist()) {
+            let variants: Vec<Algorithm> = if program.is_gpu() {
+                ExecMode::all().into_iter().map(|exec| program.with_exec(exec)).collect()
             } else {
-                vec![(algorithm, "host")]
+                vec![program]
             };
-            for (variant, worklist) in variants {
+            for variant in variants {
                 let m = measure(&instance, variant, &mut solver)
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", variant, spec.name));
-                let spec_label = match variant.exec() {
-                    Some(exec) => algorithm.with_exec(exec).to_string(),
-                    None => algorithm.to_string(),
-                };
+                let (algorithm, worklist) = cell_key(variant);
                 cells.push(BenchCell {
                     instance: spec.name.to_string(),
                     family: format!("{:?}", spec.family),
-                    algorithm: spec_label,
+                    algorithm,
                     worklist: worklist.to_string(),
                     seconds: m.seconds,
                     wall_seconds: m.wall_seconds,
-                    pinned: gpu,
+                    pinned: variant.is_gpu(),
                 });
             }
         }
@@ -168,8 +209,9 @@ const DELTA_FRACTIONS: [(f64, &str); 4] =
     [(0.0001, "0.01%"), (0.001, "0.1%"), (0.01, "1%"), (0.1, "10%")];
 
 /// Runs the delta-vs-cold sweep over `specs`: per family × churn fraction ×
-/// worklist mode, solve the patched graph cold and warm-resolve it from the
-/// parent's matching, both measured in modelled device seconds (pinned).
+/// G-PR program (`G-PR-NoShr`, `G-PR-Shr`, `G-PR-Shr+queue`), solve the
+/// patched graph cold and warm-resolve it from the parent's matching, both
+/// measured in modelled device seconds (pinned).
 ///
 /// The delta removes `fraction × E` edges spaced evenly through the edge
 /// list — deterministic, so the modelled seconds of both halves are exactly
@@ -180,6 +222,9 @@ pub fn sweep_delta(specs: &[InstanceSpec], scale: Scale) -> (Vec<BenchCell>, Vec
         .build()
         .expect("valid solver config");
     let algorithm_base = Algorithm::gpr_default();
+    let noshr = Algorithm::gpr(GprVariant::ActiveList, GrStrategy::paper_default());
+    let programs: Vec<Algorithm> =
+        [noshr, algorithm_base].into_iter().flat_map(Algorithm::with_each_worklist).collect();
     let mut cells = Vec::new();
     let mut comparisons = Vec::new();
     for spec in specs {
@@ -203,9 +248,8 @@ pub fn sweep_delta(specs: &[InstanceSpec], scale: Scale) -> (Vec<BenchCell>, Vec
             let child_initial = cheap_matching(&child);
             let child_max = gpm_cpu::hopcroft_karp(&child, &child_initial).matching.cardinality();
             let instance = format!("{}+d{churn_label}", spec.name);
-            for mode in WorklistMode::all() {
-                let worklist = mode.label();
-                let algorithm = algorithm_base.with_worklist(mode);
+            for &algorithm in &programs {
+                let (label, worklist) = cell_key(algorithm);
                 let cold = solver
                     .solve_with_initial(&child, &child_initial, algorithm)
                     .unwrap_or_else(|e| panic!("cold {} on {instance}: {e}", algorithm));
@@ -230,7 +274,7 @@ pub fn sweep_delta(specs: &[InstanceSpec], scale: Scale) -> (Vec<BenchCell>, Vec
                     cells.push(BenchCell {
                         instance: instance.clone(),
                         family: format!("{:?}", spec.family),
-                        algorithm: format!("{tag}({algorithm_base})"),
+                        algorithm: format!("{tag}({label})"),
                         worklist: worklist.to_string(),
                         seconds,
                         wall_seconds: wall,
@@ -259,7 +303,13 @@ pub fn produce(scale: Scale) -> BenchDump {
     let mut cells = sweep_cells(&mini_suite(), scale);
     let (delta_cells, deltas) = sweep_delta(&mini_suite(), scale);
     cells.extend(delta_cells);
-    BenchDump { schema: SCHEMA_VERSION, scale: format!("{scale:?}").to_lowercase(), cells, deltas }
+    BenchDump {
+        schema: SCHEMA_VERSION,
+        scale: format!("{scale:?}").to_lowercase(),
+        cells,
+        deltas,
+        retired: RETIRED.to_vec(),
+    }
 }
 
 /// The outcome of diffing two dumps' pinned cells.
@@ -270,8 +320,11 @@ pub struct DiffReport {
     /// `(cell key, old seconds, new seconds)` for cells slower by more
     /// than the allowed factor.
     pub regressions: Vec<(String, f64, f64)>,
-    /// Pinned cells of the old dump missing from the new one.  Whether
-    /// these fail the gate is decided by `require_pinned`.
+    /// Pinned cells of the old dump missing from the new one that match a
+    /// [`RETIRED`] pair.  They never fail the gate.
+    pub retired: Vec<String>,
+    /// Every other pinned cell of the old dump missing from the new one.
+    /// Whether these fail the gate is decided by `require_pinned`.
     pub missing: Vec<String>,
     /// `true` when missing pinned cells fail the gate (CI's
     /// `--require-pinned`); `false` degrades them to warnings.
@@ -294,7 +347,20 @@ impl DiffReport {
     }
 }
 
-fn pinned_cells(dump: &Value) -> Result<Vec<(String, f64)>, String> {
+/// `true` when a cell of `algorithm` on `worklist` matches a [`RETIRED`]
+/// pair, once a delta-sweep `cold(…)` / `resolve(…)` wrapper and the
+/// `@resident` suffix are stripped from `algorithm`.
+fn is_retired(algorithm: &str, worklist: &str) -> bool {
+    let program = ["cold(", "resolve("]
+        .into_iter()
+        .find_map(|tag| algorithm.strip_prefix(tag)?.strip_suffix(')'))
+        .unwrap_or(algorithm);
+    let program = program.strip_suffix("@resident").unwrap_or(program);
+    RETIRED.iter().any(|pair| pair.algorithm == program && pair.worklist == worklist)
+}
+
+/// The pinned cells of a parsed dump as `(key, seconds, retired)`.
+fn pinned_cells(dump: &Value) -> Result<Vec<(String, f64, bool)>, String> {
     let cells = dump
         .get("cells")
         .and_then(Value::as_seq)
@@ -310,21 +376,22 @@ fn pinned_cells(dump: &Value) -> Result<Vec<(String, f64)>, String> {
                 .map(str::to_string)
                 .ok_or_else(|| format!("pinned cell missing '{name}'"))
         };
-        let key =
-            format!("{} / {} + {}", field("instance")?, field("algorithm")?, field("worklist")?);
+        let (algorithm, worklist) = (field("algorithm")?, field("worklist")?);
+        let key = format!("{} / {algorithm} + {worklist}", field("instance")?);
         let seconds = cell
             .get("seconds")
             .and_then(Value::as_f64)
             .ok_or_else(|| format!("cell '{key}' has no numeric 'seconds'"))?;
-        out.push((key, seconds));
+        out.push((key, seconds, is_retired(&algorithm, &worklist)));
     }
     Ok(out)
 }
 
 /// Diffs two parsed dumps: every pinned cell of `old` present in `new`
 /// must be no more than `max_regression` (fractional, e.g. `0.15`) slower.
-/// With `require_pinned`, a pinned `old` cell absent from `new` also fails
-/// the gate; without it, missing cells are reported but only warn.
+/// A pinned `old` cell absent from `new` is retired when it matches a
+/// [`RETIRED`] pair, and missing otherwise; with `require_pinned` a missing
+/// cell fails the gate, without it it only warns.
 pub fn diff(
     old: &Value,
     new: &Value,
@@ -332,15 +399,19 @@ pub fn diff(
     require_pinned: bool,
 ) -> Result<DiffReport, String> {
     let old_cells = pinned_cells(old)?;
-    let new_cells: std::collections::BTreeMap<String, f64> =
-        pinned_cells(new)?.into_iter().collect();
+    let new_cells: BTreeMap<String, f64> =
+        pinned_cells(new)?.into_iter().map(|(key, seconds, _)| (key, seconds)).collect();
     let mut report = DiffReport { require_pinned, ..DiffReport::default() };
-    let old_keys: std::collections::BTreeSet<String> =
-        old_cells.iter().map(|(key, _)| key.clone()).collect();
-    report.new_cells = new_cells.keys().filter(|key| !old_keys.contains(*key)).cloned().collect();
-    for (key, old_seconds) in old_cells {
+    let old_keys: BTreeSet<&str> = old_cells.iter().map(|(key, ..)| key.as_str()).collect();
+    report.new_cells =
+        new_cells.keys().filter(|key| !old_keys.contains(key.as_str())).cloned().collect();
+    for (key, old_seconds, retired) in old_cells {
         let Some(&new_seconds) = new_cells.get(&key) else {
-            report.missing.push(key);
+            if retired {
+                report.retired.push(key);
+            } else {
+                report.missing.push(key);
+            }
             continue;
         };
         report.compared += 1;
@@ -454,6 +525,25 @@ mod tests {
     }
 
     #[test]
+    fn cells_matching_a_retired_pair_are_retired_not_missing() {
+        let old: Value = serde_json::from_str(
+            r#"{"cells": [
+                {"instance": "a", "algorithm": "G-HKDW@resident", "worklist": "compacted",
+                 "seconds": 1.0, "pinned": true},
+                {"instance": "a+d1%", "algorithm": "resolve(G-PR-Shr@adaptive:0.7)",
+                 "worklist": "dense", "seconds": 1.0, "pinned": true},
+                {"instance": "a", "algorithm": "G-HKDW", "worklist": "queue",
+                 "seconds": 1.0, "pinned": true}
+            ]}"#,
+        )
+        .unwrap();
+        let report = diff(&old, &dump_with(&[]), 0.15, true).unwrap();
+        assert_eq!(report.retired.len(), 2, "{:?}", report.retired);
+        assert_eq!(report.missing, ["a / G-HKDW + queue"]);
+        assert!(!report.passed(), "a cell no pair names is still missing");
+    }
+
+    #[test]
     fn diff_rejects_malformed_dumps() {
         let bad: Value = serde_json::from_str("{\"cells\": 3}").unwrap();
         assert!(diff(&bad, &bad, 0.15, true).is_err());
@@ -463,16 +553,27 @@ mod tests {
     fn sweep_emits_pinned_gpu_cells_for_every_worklist_and_exec_mode() {
         let specs = vec![instances::by_name("amazon0505").unwrap()];
         let cells = sweep_cells(&specs, Scale::Tiny);
-        // 2 GPU algorithms × 3 worklist modes × 2 exec modes + 2 CPU
-        // algorithms.
-        assert_eq!(cells.len(), 14);
-        assert_eq!(cells.iter().filter(|c| c.pinned).count(), 12);
-        for mode in WorklistMode::all() {
-            assert_eq!(cells.iter().filter(|c| c.worklist == mode.label()).count(), 4, "{mode}");
+        // 5 GPU programs (G-PR-NoShr, G-PR-Shr, G-PR-Shr+queue, G-HKDW,
+        // G-HKDW+queue) × 2 exec modes + 2 CPU algorithms.
+        assert_eq!(cells.len(), 12);
+        assert_eq!(cells.iter().filter(|c| c.pinned).count(), 10);
+        for (worklist, count) in [("dense", 4), ("compacted", 2), ("queue", 4)] {
+            assert_eq!(
+                cells.iter().filter(|c| c.worklist == worklist).count(),
+                count,
+                "{worklist}"
+            );
         }
+        let keys: BTreeSet<(&str, &str)> =
+            cells.iter().map(|c| (c.algorithm.as_str(), c.worklist.as_str())).collect();
+        assert!(keys.contains(&("G-PR-NoShr@adaptive:0.7", "dense")), "{keys:?}");
+        assert!(keys.contains(&("G-PR-Shr@adaptive:0.7@resident", "compacted")), "{keys:?}");
+        assert!(keys.contains(&("G-HKDW@resident", "queue")), "{keys:?}");
+        // No sweep cell is retired.
+        assert!(!cells.iter().any(|c| is_retired(&c.algorithm, &c.worklist)));
         // Persistent cells are keyed apart by the `@resident` suffix; the
         // launch-per-round cells keep their historical suffix-free keys.
-        assert_eq!(cells.iter().filter(|c| c.algorithm.ends_with("@resident")).count(), 6);
+        assert_eq!(cells.iter().filter(|c| c.algorithm.ends_with("@resident")).count(), 5);
         // The dump round-trips through serde_json and keeps its cell keys.
         let json = serde_json::to_string(&Value::Map(vec![(
             "cells".to_string(),
@@ -480,15 +581,23 @@ mod tests {
         )]))
         .unwrap();
         let parsed: Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(pinned_cells(&parsed).unwrap().len(), 12);
+        assert_eq!(pinned_cells(&parsed).unwrap().len(), 10);
     }
 
     #[test]
     fn delta_sweep_is_deterministic_and_covers_every_fraction_and_mode() {
         let specs = vec![instances::by_name("amazon0505").unwrap()];
         let (cells, comparisons) = sweep_delta(&specs, Scale::Tiny);
-        // 4 churn fractions × 3 worklist modes × {cold, resolve}.
+        // 4 churn fractions × 3 G-PR programs × {cold, resolve}.
         assert_eq!(cells.len(), 24);
+        for key in [
+            "cold(G-PR-NoShr@adaptive:0.7) + dense",
+            "resolve(G-PR-Shr@adaptive:0.7) + compacted",
+            "resolve(G-PR-Shr@adaptive:0.7) + queue",
+        ] {
+            let n = cells.iter().filter(|c| format!("{} + {}", c.algorithm, c.worklist) == key);
+            assert_eq!(n.count(), 4, "{key}");
+        }
         assert!(cells.iter().all(|c| c.pinned), "delta cells are all pinned");
         assert_eq!(comparisons.len(), 12);
         for (fraction, label) in DELTA_FRACTIONS {

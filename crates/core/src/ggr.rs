@@ -13,11 +13,12 @@
 //! Several threads may write the same `ψ` entry, but always with the same
 //! value, so the kernel needs no atomics — exactly the argument of the paper.
 //!
-//! The BFS frontier itself is managed by the shared [`Worklist`] subsystem:
-//! the default [`WorklistMode::DenseStamp`] reproduces the paper's full-grid
-//! level-synchronous scan exactly, while the compacted and atomic-queue
-//! representations launch only over the frontier rows (the `mode` argument
-//! of [`global_relabel`]).
+//! The BFS frontier itself is managed by the shared [`Worklist`] subsystem
+//! (the `mode` argument of [`global_relabel`]): [`WorklistMode::DenseStamp`]
+//! reproduces the paper's full-grid level-synchronous scan exactly, and
+//! every other mode launches only over the frontier rows of the
+//! atomic-append list.  So G-PR-First and G-PR-NoShr relabel on the grid,
+//! and G-PR-Shr and every `+queue` program on the list.
 
 use crate::device::{DeviceState, MU_UNMATCHED};
 use crate::roundloop::{drive_rounds, resident_scope, RoundOutcome};
@@ -25,12 +26,8 @@ use gpm_gpu::{ExecMode, StopCheck, VirtualGpu, Worklist, WorklistKernels, Workli
 use gpm_graph::BipartiteCsr;
 
 /// Kernel names the G-GR frontier worklist charges its maintenance to.
-const GGR_WORKLIST_KERNELS: WorklistKernels = WorklistKernels {
-    init: "G-GR-WL-INIT",
-    compact_count: "G-GR-WL-COMPACT",
-    compact_scatter: "G-GR-WL-SCATTER",
-    refill: "G-GR-WL-REFILL",
-};
+const GGR_WORKLIST_KERNELS: WorklistKernels =
+    WorklistKernels { refill: "G-GR-WL-REFILL", slots: None };
 
 /// Result of one global relabeling pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,9 +46,10 @@ pub struct GlobalRelabelOutcome {
 
 /// Runs `G-GR` on the device, overwriting `ψ` with exact distances.
 ///
-/// * `mode` picks the frontier representation.  All modes write identical
-///   labels; they differ in how the row frontier of each BFS level is stored
-///   and launched over.  [`WorklistMode::DenseStamp`] is the paper's scheme.
+/// * `mode` picks the frontier representation: the full grid for
+///   [`WorklistMode::DenseStamp`] (the paper's scheme), the atomic-append
+///   list for any other mode.  Both write identical labels; they differ in
+///   how the row frontier of each BFS level is stored and launched over.
 /// * Under [`ExecMode::Persistent`] the whole BFS — the init kernels and
 ///   every level — executes inside one [`gpm_gpu::VirtualGpu::resident`]
 ///   scope, so each level pays a software global-barrier crossing instead of
@@ -146,6 +144,9 @@ mod tests {
     use gpm_graph::heuristics::cheap_matching;
     use gpm_graph::{gen, BipartiteCsr, Matching};
 
+    /// The two frontier representations: the grid and the list.
+    const FRONTIERS: [WorklistMode; 2] = [WorklistMode::DenseStamp, WorklistMode::AtomicQueue];
+
     /// The paper's relabeling: dense frontier, one launch per level, no stop.
     fn dense(gpu: &VirtualGpu, g: &BipartiteCsr, state: &DeviceState) -> GlobalRelabelOutcome {
         launched(gpu, g, state, WorklistMode::DenseStamp)
@@ -212,7 +213,7 @@ mod tests {
             let matching = cheap_matching(&g);
             let (er, ec) = exact_labels_host(&g, &matching);
             for gpu in [VirtualGpu::sequential(), VirtualGpu::parallel()] {
-                for mode in WorklistMode::all() {
+                for mode in FRONTIERS {
                     let state = DeviceState::upload(&g, &matching);
                     let dense_out = dense(&gpu, &g, &state);
                     let state = DeviceState::upload(&g, &matching);
@@ -347,7 +348,7 @@ mod tests {
         let matching = cheap_matching(&g);
         let (er, ec) = exact_labels_host(&g, &matching);
         for make_gpu in [VirtualGpu::sequential as fn() -> VirtualGpu, VirtualGpu::parallel] {
-            for mode in WorklistMode::all() {
+            for mode in FRONTIERS {
                 let lpr_gpu = make_gpu();
                 let state = DeviceState::upload(&g, &matching);
                 let lpr = launched(&lpr_gpu, &g, &state, mode);

@@ -39,12 +39,8 @@ use gpm_graph::{BipartiteCsr, Matching, VertexId};
 const INF: u32 = u32::MAX;
 
 /// Kernel names the G-HK BFS frontier worklist charges its maintenance to.
-const GHK_WORKLIST_KERNELS: WorklistKernels = WorklistKernels {
-    init: "G-HK-WL-INIT",
-    compact_count: "G-HK-WL-COMPACT",
-    compact_scatter: "G-HK-WL-SCATTER",
-    refill: "G-HK-WL-REFILL",
-};
+const GHK_WORKLIST_KERNELS: WorklistKernels =
+    WorklistKernels { refill: "G-HK-WL-REFILL", slots: None };
 
 /// Which GPU augmenting-path baseline to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,10 +60,16 @@ impl GhkVariant {
         }
     }
 
-    /// The BFS-frontier representation the original codes hand-rolled: a
-    /// dense per-level scan.  Used when no explicit mode is configured.
+    /// The BFS-frontier representations that are distinct programs of this
+    /// variant: the dense grid the original codes hand-rolled (the default),
+    /// and the atomic-append list (`+queue`).
+    pub fn worklists(&self) -> &'static [WorklistMode] {
+        &[WorklistMode::DenseStamp, WorklistMode::AtomicQueue]
+    }
+
+    /// The first of [`GhkVariant::worklists`].
     pub fn default_worklist(&self) -> WorklistMode {
-        WorklistMode::DenseStamp
+        self.worklists()[0]
     }
 }
 
@@ -76,8 +78,9 @@ impl GhkVariant {
 pub struct GhkConfig {
     /// Which variant to run.
     pub variant: GhkVariant,
-    /// How the BFS frontier is represented on the device; all
-    /// representations locate the same shortest augmenting paths.
+    /// How the BFS frontier is represented on the device: the dense grid for
+    /// [`WorklistMode::DenseStamp`], the atomic-append list for any other
+    /// mode.  Both locate the same shortest augmenting paths.
     pub worklist: WorklistMode,
     /// How the phase loop executes.  Under [`ExecMode::Persistent`] the
     /// whole loop — BFS levels, DFS kernels, commit charges, and the
@@ -688,7 +691,7 @@ mod tests {
                 let opt = maximum_matching_cardinality(&g);
                 let init = cheap_matching(&g);
                 for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
-                    for mode in WorklistMode::all() {
+                    for &mode in variant.worklists() {
                         let r = with_mode(&gpu, &g, &init, variant, mode);
                         assert_eq!(
                             r.matching.cardinality(),
@@ -705,7 +708,7 @@ mod tests {
 
     #[test]
     fn frontier_modes_run_identical_phase_counts() {
-        // The three representations hold the same frontier sets, so on the
+        // The two representations hold the same frontier sets, so on the
         // deterministic sequential backend every phase finds the same
         // augmenting paths and the phase/augmentation counters agree.
         // (Regression test: stale frontier stamps surviving a re-seed once
@@ -715,9 +718,10 @@ mod tests {
             let g = gen::uniform_random(120, 110, 600, seed).unwrap();
             let init = cheap_matching(&g);
             for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
-                let runs: Vec<GhkRunStats> = WorklistMode::all()
-                    .into_iter()
-                    .map(|mode| with_mode(&gpu, &g, &init, variant, mode).stats)
+                let runs: Vec<GhkRunStats> = variant
+                    .worklists()
+                    .iter()
+                    .map(|&mode| with_mode(&gpu, &g, &init, variant, mode).stats)
                     .collect();
                 for r in &runs[1..] {
                     assert_eq!(r.phases, runs[0].phases, "seed {seed}, {}", variant.label());
@@ -741,7 +745,7 @@ mod tests {
             let opt = maximum_matching_cardinality(&g);
             let init = cheap_matching(&g);
             for variant in [GhkVariant::Hk, GhkVariant::Hkdw] {
-                for mode in WorklistMode::all() {
+                for &mode in variant.worklists() {
                     let config = GhkConfig::with_variant(variant).with_worklist(mode);
                     let lpr = solve(&gpu, &g, &init, config);
                     let per = solve(&gpu, &g, &init, config.with_exec(ExecMode::Persistent));

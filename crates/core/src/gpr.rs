@@ -35,7 +35,7 @@ use crate::ggr::global_relabel;
 use crate::roundloop::{drive_rounds, resident_scope, subtract_device_stats, RoundOutcome};
 use crate::strategy::GrStrategy;
 use gpm_gpu::{
-    ActiveView, DeviceStats, ExecMode, SlotAction, StopCheck, VirtualGpu, Worklist,
+    ActiveView, DeviceStats, ExecMode, SlotAction, SlotKernels, StopCheck, VirtualGpu, Worklist,
     WorklistKernels, WorklistMode,
 };
 use gpm_graph::{BipartiteCsr, Matching};
@@ -43,10 +43,12 @@ use gpm_graph::{BipartiteCsr, Matching};
 /// Kernel names the G-PR active-column worklist charges its maintenance to
 /// (matching the paper's kernel names for the default representations).
 const GPR_WORKLIST_KERNELS: WorklistKernels = WorklistKernels {
-    init: "G-PR-INITKRNL",
-    compact_count: "G-PR-SHRKRNL_count",
-    compact_scatter: "G-PR-SHRKRNL_scatter",
     refill: "G-PR-WL-REFILL",
+    slots: Some(SlotKernels {
+        init: "G-PR-INITKRNL",
+        compact_count: "G-PR-SHRKRNL_count",
+        compact_scatter: "G-PR-SHRKRNL_scatter",
+    }),
 };
 
 /// Which G-PR variant to run.
@@ -70,15 +72,20 @@ impl GprVariant {
         }
     }
 
-    /// The worklist representation this variant historically hand-rolled:
-    /// dense stamp-guarded lists for `First`/`NoShr`, compacted lists for
-    /// `Shr`.  Used as the default when no explicit mode is configured, so
-    /// plain variant labels keep their paper behavior.
-    pub fn default_worklist(&self) -> WorklistMode {
+    /// The worklist representations that are distinct programs of this
+    /// variant, its paper default first.  `NoShr` has no `+queue`: it runs
+    /// exactly as `G-PR-Shr+queue`, as `G-PR-Shr+dense` runs as `NoShr`.
+    pub fn worklists(&self) -> &'static [WorklistMode] {
         match self {
-            GprVariant::First | GprVariant::ActiveList => WorklistMode::DenseStamp,
-            GprVariant::Shrink => WorklistMode::Compacted,
+            GprVariant::First => &[WorklistMode::DenseStamp, WorklistMode::AtomicQueue],
+            GprVariant::ActiveList => &[WorklistMode::DenseStamp],
+            GprVariant::Shrink => &[WorklistMode::Compacted, WorklistMode::AtomicQueue],
         }
+    }
+
+    /// The first of [`GprVariant::worklists`].
+    pub fn default_worklist(&self) -> WorklistMode {
+        self.worklists()[0]
     }
 }
 
@@ -89,9 +96,11 @@ pub struct GprConfig {
     pub variant: GprVariant,
     /// Global-relabeling schedule.
     pub strategy: GrStrategy,
-    /// How the active-column set is represented on the device (also governs
-    /// the global-relabeling BFS frontier).  [`GprVariant::First`] predates
-    /// active lists and ignores this knob for its main loop.
+    /// How the active-column set is represented on the device.  It also
+    /// picks the global-relabeling BFS frontier: the full grid for
+    /// [`WorklistMode::DenseStamp`], the atomic-append list otherwise (so
+    /// G-PR-Shr relabels on the list).  [`GprVariant::First`] predates
+    /// active lists and uses this knob only for its relabel frontier.
     pub worklist: WorklistMode,
     /// How the round loop executes: one kernel launch per round (the
     /// default), or a persistent megakernel whose rounds cross a software

@@ -51,10 +51,11 @@ use std::str::FromStr;
 /// `G-PR-Shr@adaptive:0.7+queue` (see the `FromStr` impl for the grammar).
 /// The GPU algorithms carry a [`WorklistMode`] selecting how their active
 /// set / BFS frontier is represented on the device, and an [`ExecMode`]
-/// selecting launch-per-round or persistent (megakernel) execution; the
-/// `+mode` suffix is omitted from labels when it equals the variant's paper
-/// default, and the trailing `@resident` suffix appears only under
-/// [`ExecMode::Persistent`].
+/// selecting launch-per-round or persistent (megakernel) execution.  Each
+/// family accepts only the representations that make it a distinct program
+/// ([`Algorithm::worklists`]); the only suffix is `+queue`, printed when
+/// the representation is not the family's paper default, and the trailing
+/// `@resident` suffix appears only under [`ExecMode::Persistent`].
 #[derive(Clone, Copy, Debug)]
 pub enum Algorithm {
     /// G-PR (GPU push-relabel), any of the three variants, with a GR
@@ -98,7 +99,9 @@ impl Algorithm {
         Algorithm::GpuHopcroftKarp(variant, variant.default_worklist(), ExecMode::default())
     }
 
-    /// Same algorithm with a different worklist representation.
+    /// Same algorithm with a different worklist representation.  A
+    /// representation outside [`Algorithm::worklists`] builds a value that
+    /// [`Algorithm::validate`] rejects.
     ///
     /// # Panics
     /// Panics for CPU algorithms, which have no device worklist.
@@ -134,6 +137,29 @@ impl Algorithm {
         }
     }
 
+    /// The worklist representations that are distinct programs of this
+    /// algorithm's family, default first (empty for CPU algorithms).  This
+    /// table decides which labels parse, which values validate, and what
+    /// `gpm-bench --list-algorithms` and the benchmark sweep enumerate.
+    pub fn worklists(&self) -> &'static [WorklistMode] {
+        match self {
+            Algorithm::GpuPushRelabel(variant, ..) => variant.worklists(),
+            Algorithm::GpuHopcroftKarp(variant, ..) => variant.worklists(),
+            _ => &[],
+        }
+    }
+
+    /// This algorithm once per representation of [`Algorithm::worklists`],
+    /// default first: one value per distinct program (just `self` for CPU
+    /// algorithms).
+    pub fn with_each_worklist(self) -> Vec<Algorithm> {
+        if self.is_gpu() {
+            self.worklists().iter().map(|&mode| self.with_worklist(mode)).collect()
+        } else {
+            vec![self]
+        }
+    }
+
     /// The execution mode of a GPU algorithm (`None` for CPU algorithms).
     pub fn exec(&self) -> Option<ExecMode> {
         match self {
@@ -165,10 +191,14 @@ impl Algorithm {
 
     /// Checks the algorithm's parameters, returning
     /// [`SolveError::InvalidConfig`] for values the solvers cannot run with
-    /// (NaN/negative global-relabel factors, zero P-DBFS threads).
+    /// (NaN/negative global-relabel factors, zero P-DBFS threads) and for
+    /// worklist representations outside [`Algorithm::worklists`].
     pub fn validate(&self) -> Result<(), SolveError> {
         let invalid =
             |reason: String| SolveError::InvalidConfig { algorithm: self.label(), reason };
+        if let Some(mode) = self.worklist().filter(|mode| !self.worklists().contains(mode)) {
+            return Err(invalid(format!("it has no distinct program on the {mode} worklist")));
+        }
         match *self {
             Algorithm::SequentialPushRelabel(k) if !k.is_finite() => {
                 Err(invalid(format!("global-relabel factor k must be finite, got {k}")))
@@ -225,11 +255,11 @@ impl Hash for Algorithm {
 }
 
 /// Round-trippable label: `G-PR-Shr@adaptive:0.7`, `G-HKDW`, `PR@0.5`,
-/// `P-DBFS@8`, `PFP`, `HK`, `HKDW`.  GPU algorithms append `+dense`,
-/// `+compacted`, or `+queue` when the worklist representation differs from
-/// the variant's default (e.g. `G-PR-Shr@adaptive:0.7+queue`, `G-HK+queue`),
-/// and a final `@resident` suffix when the persistent execution mode is
-/// selected (e.g. `G-PR-Shr@adaptive:0.7+queue@resident`).
+/// `P-DBFS@8`, `PFP`, `HK`, `HKDW`.  GPU algorithms append `+queue` when
+/// they run on the atomic-append worklist instead of the variant's default
+/// (e.g. `G-PR-Shr@adaptive:0.7+queue`, `G-HK+queue`), and a final
+/// `@resident` suffix when the persistent execution mode is selected (e.g.
+/// `G-PR-Shr@adaptive:0.7+queue@resident`).
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let exec_suffix = |f: &mut fmt::Formatter<'_>, exec: &ExecMode| {
@@ -266,10 +296,12 @@ impl fmt::Display for Algorithm {
 /// Parses the labels produced by [`fmt::Display`].  Parameters may be
 /// omitted, in which case the paper's defaults apply: `G-PR-Shr` ≡
 /// `G-PR-Shr@adaptive:0.7`, `PR` ≡ `PR@0.5`, `P-DBFS` ≡ `P-DBFS@8`.  GPU
-/// algorithms accept a trailing `+dense` / `+compacted` / `+queue` worklist
-/// suffix (default: the variant's paper representation) and a final
-/// `@resident` / `@launch` execution-mode suffix (default: `launch`, one
-/// kernel launch per round).
+/// algorithms accept a `+queue` worklist suffix where it names a distinct
+/// program — `G-PR-First`, `G-PR-Shr`, `G-HK` and `G-HKDW`, not
+/// `G-PR-NoShr` (see [`Algorithm::worklists`]); without it they run on the
+/// variant's paper representation.  A final `@resident` / `@launch`
+/// execution-mode suffix follows (default: `launch`, one kernel launch per
+/// round).  23 labels name the distinct programs: 18 GPU and 5 CPU.
 impl FromStr for Algorithm {
     type Err = ParseAlgorithmError;
 
@@ -286,14 +318,26 @@ impl FromStr for Algorithm {
             None => (s, None),
         };
         // A worklist suffix is the text after the *last* '+', and only when
-        // it is a mode label — numeric parameters may legitimately carry a
-        // leading '+' sign (`PR@+0.5`), which must keep parsing as before.
+        // it is a word — numeric parameters may legitimately carry a leading
+        // '+' sign (`PR@+0.5`), which must keep parsing as before.
         let (body, worklist) = match rest.rsplit_once('+') {
-            Some((body, mode)) => match mode.parse::<WorklistMode>() {
-                Ok(mode) => (body, Some(mode)),
-                Err(_) => (rest, None),
-            },
-            None => (rest, None),
+            Some((body, word))
+                if !word.is_empty() && word.bytes().all(|b| b.is_ascii_alphabetic()) =>
+            {
+                (body, Some(word))
+            }
+            _ => (rest, None),
+        };
+        // The suffix must name a non-default entry of the family's table:
+        // every program has exactly one spelling.
+        let gpu_worklist = |accepted: &[WorklistMode]| match worklist {
+            None => Ok(accepted[0]),
+            Some(word) => {
+                accepted[1..].iter().copied().find(|mode| mode.label() == word).ok_or_else(|| {
+                    err("no worklist suffix but '+queue', and that only on G-PR-First, \
+                         G-PR-Shr, G-HK and G-HKDW")
+                })
+            }
         };
         let (name, param) = match body.split_once('@') {
             Some((name, param)) => (name, Some(param)),
@@ -307,7 +351,7 @@ impl FromStr for Algorithm {
             Ok(Algorithm::GpuPushRelabel(
                 variant,
                 strategy,
-                worklist.unwrap_or_else(|| variant.default_worklist()),
+                gpu_worklist(variant.worklists())?,
                 exec.unwrap_or_default(),
             ))
         };
@@ -317,7 +361,7 @@ impl FromStr for Algorithm {
             } else {
                 Ok(Algorithm::GpuHopcroftKarp(
                     variant,
-                    worklist.unwrap_or_else(|| variant.default_worklist()),
+                    gpu_worklist(variant.worklists())?,
                     exec.unwrap_or_default(),
                 ))
             }

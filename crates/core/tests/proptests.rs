@@ -153,8 +153,9 @@ proptest! {
             delta.clear_col(c);
         }
 
-        // The full engine matrix: every family, every worklist mode, and
-        // both the sequential and the pooled virtual-GPU executor.
+        // The full engine matrix: every family, every worklist each G-PR
+        // active-list variant and G-HKDW accepts, and both the sequential
+        // and the pooled virtual-GPU executor.
         let mut algorithms = vec![
             Algorithm::SequentialPushRelabel(0.5),
             Algorithm::PothenFan,
@@ -163,14 +164,12 @@ proptest! {
             Algorithm::gpr(GprVariant::First, GrStrategy::Fixed(4)),
             Algorithm::ghk(GhkVariant::Hk),
         ];
-        for mode in WorklistMode::all() {
-            algorithms.push(
-                Algorithm::gpr(GprVariant::ActiveList, GrStrategy::Fixed(4)).with_worklist(mode),
-            );
-            algorithms.push(
-                Algorithm::gpr(GprVariant::Shrink, GrStrategy::Fixed(4)).with_worklist(mode),
-            );
-            algorithms.push(Algorithm::ghk(GhkVariant::Hkdw).with_worklist(mode));
+        for base in [
+            Algorithm::gpr(GprVariant::ActiveList, GrStrategy::Fixed(4)),
+            Algorithm::gpr(GprVariant::Shrink, GrStrategy::Fixed(4)),
+            Algorithm::ghk(GhkVariant::Hkdw),
+        ] {
+            algorithms.extend(base.with_each_worklist());
         }
 
         for policy in [DevicePolicy::Sequential, DevicePolicy::Parallel(2)] {

@@ -17,26 +17,25 @@ use gpm_graph::{BipartiteCsr, Matching};
 use proptest::prelude::*;
 
 /// Arbitrary valid algorithm covering all seven families with varied
-/// parameters, including every worklist representation and both execution
-/// modes of the GPU families (so the `+mode` and `@resident` label suffixes
-/// are exercised by the round-trip property).
+/// parameters, including every worklist representation each GPU family
+/// accepts and both execution modes (so the `+queue` and `@resident` label
+/// suffixes are exercised by the round-trip property).
 fn arb_algorithm() -> impl Strategy<Value = Algorithm> {
-    (0usize..10, 1u32..100, 1u32..40, 1usize..16, 0..WorklistMode::all().len(), 0usize..2).prop_map(
+    (0usize..10, 1u32..100, 1u32..40, 1usize..16, 0usize..2, 0usize..2).prop_map(
         |(which, fix_k, tenths, threads, mode, exec)| {
             let adaptive = GrStrategy::Adaptive(f64::from(tenths) / 10.0);
-            let mode = WorklistMode::all()[mode];
             let exec = ExecMode::all()[exec];
+            // A GPU family in one of the representations it accepts.
+            let gpu = |alg: Algorithm| {
+                let modes = alg.worklists();
+                alg.with_worklist(modes[mode % modes.len()]).with_exec(exec)
+            };
             match which {
-                0 => Algorithm::GpuPushRelabel(GprVariant::First, adaptive, mode, exec),
-                1 => Algorithm::GpuPushRelabel(
-                    GprVariant::ActiveList,
-                    GrStrategy::Fixed(fix_k),
-                    mode,
-                    exec,
-                ),
-                2 => Algorithm::GpuPushRelabel(GprVariant::Shrink, adaptive, mode, exec),
-                3 => Algorithm::GpuHopcroftKarp(GhkVariant::Hk, mode, exec),
-                4 => Algorithm::GpuHopcroftKarp(GhkVariant::Hkdw, mode, exec),
+                0 => gpu(Algorithm::gpr(GprVariant::First, adaptive)),
+                1 => gpu(Algorithm::gpr(GprVariant::ActiveList, GrStrategy::Fixed(fix_k))),
+                2 => gpu(Algorithm::gpr(GprVariant::Shrink, adaptive)),
+                3 => gpu(Algorithm::ghk(GhkVariant::Hk)),
+                4 => gpu(Algorithm::ghk(GhkVariant::Hkdw)),
                 5 => Algorithm::SequentialPushRelabel(f64::from(tenths) / 10.0),
                 6 => Algorithm::PothenFan,
                 7 => Algorithm::HopcroftKarp,
@@ -52,6 +51,7 @@ proptest! {
 
     #[test]
     fn algorithm_labels_round_trip_through_display_and_fromstr(alg in arb_algorithm()) {
+        prop_assert!(alg.validate().is_ok(), "{}", alg);
         let label = alg.to_string();
         let parsed: Algorithm = label.parse().unwrap_or_else(|e| panic!("{label}: {e}"));
         prop_assert_eq!(parsed, alg, "{}", label);
@@ -61,12 +61,7 @@ proptest! {
         // Default representations stay suffix-free (paper-compatible labels);
         // non-default ones carry the '+' suffix.
         if let Some(mode) = alg.worklist() {
-            let default_mode = match alg {
-                Algorithm::GpuPushRelabel(v, ..) => v.default_worklist(),
-                Algorithm::GpuHopcroftKarp(v, ..) => v.default_worklist(),
-                _ => unreachable!(),
-            };
-            prop_assert_eq!(label.contains('+'), mode != default_mode, "{}", label);
+            prop_assert_eq!(label.contains("+queue"), mode != alg.worklists()[0], "{}", label);
         }
         // The persistent execution mode always prints (and only it does).
         if let Some(exec) = alg.exec() {
@@ -243,35 +238,71 @@ fn solver_and_components_are_send() {
 
 #[test]
 fn worklist_labels_parse_and_reject_junk() {
-    // Explicit suffixes on GPU algorithms.
+    // `+queue` on the families where it is a distinct program.
     assert_eq!(
         "G-PR-Shr@adaptive:0.7+queue".parse::<Algorithm>().unwrap(),
         Algorithm::gpr_default().with_worklist(WorklistMode::AtomicQueue)
     );
     assert_eq!(
-        "G-PR-NoShr+compacted".parse::<Algorithm>().unwrap(),
-        Algorithm::gpr(GprVariant::ActiveList, GrStrategy::paper_default())
-            .with_worklist(WorklistMode::Compacted)
+        "G-PR-First+queue".parse::<Algorithm>().unwrap(),
+        Algorithm::gpr(GprVariant::First, GrStrategy::paper_default())
+            .with_worklist(WorklistMode::AtomicQueue)
     );
     assert_eq!(
         "G-HK+queue".parse::<Algorithm>().unwrap(),
         Algorithm::ghk(GhkVariant::Hk).with_worklist(WorklistMode::AtomicQueue)
     );
-    // A default-mode suffix parses to the same algorithm as no suffix.
-    assert_eq!(
-        "G-PR-Shr+compacted".parse::<Algorithm>().unwrap(),
-        "G-PR-Shr".parse::<Algorithm>().unwrap()
-    );
-    // Defaults print without the suffix; overrides print with it.
+    // Defaults print without the suffix; the queue prints with it.
     assert_eq!(Algorithm::gpr_default().to_string(), "G-PR-Shr@adaptive:0.7");
     assert_eq!(
         Algorithm::gpr_default().with_worklist(WorklistMode::AtomicQueue).to_string(),
         "G-PR-Shr@adaptive:0.7+queue"
     );
-    assert_eq!(
-        Algorithm::ghk(GhkVariant::Hkdw).with_worklist(WorklistMode::Compacted).to_string(),
-        "G-HKDW+compacted"
-    );
+    // Every removed spelling is a parse error: the twelve labels that named
+    // a duplicate program or one nothing needs, and the alias spellings of
+    // defaults.
+    for label in [
+        "G-PR-First@adaptive:0.7+compacted",
+        "G-PR-First@adaptive:0.7+compacted@resident",
+        "G-PR-NoShr@adaptive:0.7+compacted",
+        "G-PR-NoShr@adaptive:0.7+compacted@resident",
+        "G-PR-NoShr@adaptive:0.7+queue",
+        "G-PR-NoShr@adaptive:0.7+queue@resident",
+        "G-PR-Shr@adaptive:0.7+dense",
+        "G-PR-Shr@adaptive:0.7+dense@resident",
+        "G-HK+compacted",
+        "G-HK+compacted@resident",
+        "G-HKDW+compacted",
+        "G-HKDW+compacted@resident",
+        "G-PR-First+dense",
+        "G-PR-NoShr@fix:10+dense",
+        "G-HK+dense",
+        "G-HKDW+dense@resident",
+        "G-PR-Shr+compacted",
+        "G-PR-Shr@adaptive:0.7+compacted@resident",
+    ] {
+        assert!(label.parse::<Algorithm>().is_err(), "{label}");
+    }
+    // The same values built with `with_worklist` fail validation, and a
+    // solve of one is a structured error, not a run.
+    let first = Algorithm::gpr(GprVariant::First, GrStrategy::paper_default());
+    let noshr = Algorithm::gpr(GprVariant::ActiveList, GrStrategy::paper_default());
+    for alg in [
+        first.with_worklist(WorklistMode::Compacted),
+        noshr.with_worklist(WorklistMode::Compacted),
+        noshr.with_worklist(WorklistMode::AtomicQueue),
+        Algorithm::gpr_default().with_worklist(WorklistMode::DenseStamp),
+        Algorithm::ghk(GhkVariant::Hk).with_worklist(WorklistMode::Compacted),
+        Algorithm::ghk(GhkVariant::Hkdw).with_worklist(WorklistMode::Compacted),
+    ] {
+        for exec in ExecMode::all() {
+            let alg = alg.with_exec(exec);
+            assert!(matches!(alg.validate(), Err(SolveError::InvalidConfig { .. })), "{alg}");
+        }
+    }
+    let g = gen::uniform_random(10, 10, 40, 3).unwrap();
+    let err = solve(&g, noshr.with_worklist(WorklistMode::AtomicQueue)).unwrap_err();
+    assert!(err.to_string().contains("no distinct program on the queue worklist"), "{err}");
     // Junk modes, the retired `blocked` mode, and CPU algorithms with modes
     // are rejected.
     assert!("G-PR-Shr+stack".parse::<Algorithm>().is_err());
@@ -331,9 +362,10 @@ fn exec_mode_labels_parse_and_reject_junk() {
     assert!("G-PR-Shr@resident+queue".parse::<Algorithm>().is_err());
 }
 
-/// The cross-representation acceptance test: every worklist mode, under both
-/// the sequential and the pooled executor, produces the oracle cardinality
-/// on every instance family of the mini suite.
+/// The cross-representation acceptance test: every G-PR and G-HKDW program
+/// (each accepted worklist), under both the sequential and the pooled
+/// executor, produces the oracle cardinality on every instance family of
+/// the mini suite.
 #[test]
 fn all_worklist_modes_match_the_oracle_over_the_mini_suite() {
     let instances: Vec<_> = mini_suite()
@@ -347,22 +379,30 @@ fn all_worklist_modes_match_the_oracle_over_the_mini_suite() {
     for policy in [DevicePolicy::Sequential, DevicePolicy::Parallel(3)] {
         let mut solver =
             Solver::builder().device_policy(policy).build().expect("valid solver config");
-        for mode in WorklistMode::all() {
+        for alg in programs() {
             for (name, g, opt) in &instances {
-                for alg in [
-                    Algorithm::gpr_default().with_worklist(mode),
-                    Algorithm::ghk(GhkVariant::Hkdw).with_worklist(mode),
-                ] {
-                    let report = solver.solve(g, alg).unwrap();
-                    assert_eq!(report.cardinality, *opt, "{alg} on {name} under {policy:?}");
-                }
+                let report = solver.solve(g, alg).unwrap();
+                assert_eq!(report.cardinality, *opt, "{alg} on {name} under {policy:?}");
             }
         }
     }
 }
 
+/// G-PR-NoShr, G-PR-Shr and G-HKDW in every worklist each accepts: the
+/// benchmark sweep's GPU programs.
+fn programs() -> Vec<Algorithm> {
+    [
+        Algorithm::gpr(GprVariant::ActiveList, GrStrategy::paper_default()),
+        Algorithm::gpr_default(),
+        Algorithm::ghk(GhkVariant::Hkdw),
+    ]
+    .into_iter()
+    .flat_map(Algorithm::with_each_worklist)
+    .collect()
+}
+
 /// The persistent-execution acceptance test: on every instance family of
-/// the mini suite, every GPU engine × worklist mode solved `@resident`
+/// the mini suite, every GPU program of [`programs`] solved `@resident`
 /// agrees with its launch-per-round twin — same cardinality under both the
 /// sequential and the pooled executor, and (sequential executor, where the
 /// modelled counters are deterministic) the same number of device rounds,
@@ -380,45 +420,38 @@ fn persistent_exec_matches_launch_per_round_over_the_mini_suite() {
     for policy in [DevicePolicy::Sequential, DevicePolicy::Parallel(3)] {
         let mut solver =
             Solver::builder().device_policy(policy).build().expect("valid solver config");
-        for mode in WorklistMode::all() {
+        for base in programs() {
             for (name, g, opt) in &instances {
-                for base in [
-                    Algorithm::gpr_default().with_worklist(mode),
-                    Algorithm::ghk(GhkVariant::Hkdw).with_worklist(mode),
-                ] {
-                    let launch = solver.solve(g, base).unwrap();
-                    let resident = solver.solve(g, base.with_exec(ExecMode::Persistent)).unwrap();
+                let launch = solver.solve(g, base).unwrap();
+                let resident = solver.solve(g, base.with_exec(ExecMode::Persistent)).unwrap();
+                assert_eq!(
+                    launch.cardinality, resident.cardinality,
+                    "{base} on {name} under {policy:?}"
+                );
+                assert_eq!(launch.cardinality, *opt, "{base} on {name} under {policy:?}");
+                let stats = resident.device_stats.as_ref().expect("GPU solve has stats");
+                assert!(
+                    stats.total_launches() <= 2,
+                    "{base}@resident on {name} under {policy:?}: {} launches",
+                    stats.total_launches()
+                );
+                if policy == DevicePolicy::Sequential {
+                    // Same rounds, just resident: the per-round kernel
+                    // launches of the one mode reappear one-for-one as
+                    // barrier-separated resident rounds of the other.
+                    let launch_stats = launch.device_stats.as_ref().unwrap();
+                    let lpr_rounds: u64 = launch_stats.kernels.values().map(|k| k.launches).sum();
+                    let res_rounds: u64 = stats.kernels.values().map(|k| k.resident_rounds).sum();
+                    // Every launch-per-round kernel invocation reappears
+                    // either as a resident round or (the out-of-scope
+                    // fix-up) as one of the surviving launches; the one
+                    // launch that is new is the resident entry kernel.
                     assert_eq!(
-                        launch.cardinality, resident.cardinality,
-                        "{base} on {name} under {policy:?}"
+                        lpr_rounds,
+                        res_rounds + stats.total_launches() - 1,
+                        "{base} on {name}: launch-per-round kernel launches should equal \
+                         resident rounds plus the non-entry launches"
                     );
-                    assert_eq!(launch.cardinality, *opt, "{base} on {name} under {policy:?}");
-                    let stats = resident.device_stats.as_ref().expect("GPU solve has stats");
-                    assert!(
-                        stats.total_launches() <= 2,
-                        "{base}@resident on {name} under {policy:?}: {} launches",
-                        stats.total_launches()
-                    );
-                    if policy == DevicePolicy::Sequential {
-                        // Same rounds, just resident: the per-round kernel
-                        // launches of the one mode reappear one-for-one as
-                        // barrier-separated resident rounds of the other.
-                        let launch_stats = launch.device_stats.as_ref().unwrap();
-                        let lpr_rounds: u64 =
-                            launch_stats.kernels.values().map(|k| k.launches).sum();
-                        let res_rounds: u64 =
-                            stats.kernels.values().map(|k| k.resident_rounds).sum();
-                        // Every launch-per-round kernel invocation reappears
-                        // either as a resident round or (the out-of-scope
-                        // fix-up) as one of the surviving launches; the one
-                        // launch that is new is the resident entry kernel.
-                        assert_eq!(
-                            lpr_rounds,
-                            res_rounds + stats.total_launches() - 1,
-                            "{base} on {name}: launch-per-round kernel launches should equal \
-                             resident rounds plus the non-entry launches"
-                        );
-                    }
                 }
             }
         }

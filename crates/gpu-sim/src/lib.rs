@@ -48,10 +48,11 @@
 //!
 //! On top of the primitives sits the [`worklist`] module: a [`Worklist`]
 //! type that owns the *active set* every frontier-driven engine iterates,
-//! behind three interchangeable [`WorklistMode`] representations —
-//! dense stamp scans, `G-PR-SHRKRNL`-style compaction, and a device-side
-//! atomic-append queue.  See that module's docs for the round protocols and
-//! the queue memory model under the pooled executor.
+//! behind three [`WorklistMode`] representations — dense stamp scans,
+//! `G-PR-SHRKRNL`-style compaction, and a device-side atomic-append queue.
+//! A BFS frontier is either the dense grid or the append list; compaction
+//! belongs to the push loop's slot protocol.  See that module's docs for the
+//! round protocols and the queue memory model under the pooled executor.
 //!
 //! Executor tuning (inline threshold, chunk size, pool tag)
 //! lives in [`ExecutorConfig`] and is plumbed upward through `gpm-core`'s
@@ -93,6 +94,6 @@ pub use scratch::{ScratchArena, ScratchBuffer, ScratchStats};
 pub use stats::{DeviceStats, KernelStats, LaunchKind};
 pub use stop::StopCheck;
 pub use worklist::{
-    ActiveView, DomainMarker, FrontierView, ParseWorklistModeError, SlotAction, Worklist,
-    WorklistKernels, WorklistMode, WL_EMPTY,
+    ActiveView, DomainMarker, FrontierView, SlotAction, SlotKernels, Worklist, WorklistKernels,
+    WorklistMode, WL_EMPTY,
 };

@@ -1,4 +1,4 @@
-//! The device worklist: one API over three active-set representations.
+//! The device worklist: one API over the active-set representations.
 //!
 //! Every frontier-driven engine in the workspace — the paper's G-PR
 //! push-relabel kernels, the G-GR global-relabeling BFS, and the G-HK /
@@ -6,19 +6,21 @@
 //! vertices for the next round while processing the current one, and
 //! periodically rebuilds the set.  How that set is **represented on the
 //! device** is the performance knob the paper's Section III-C is about, so
-//! this module factors it out as a [`Worklist`] with three interchangeable
+//! this module factors it out as a [`Worklist`] with three
 //! [`WorklistMode`]s:
 //!
 //! * [`WorklistMode::DenseStamp`] — membership is a per-vertex stamp (the
 //!   paper's `iA` array); iteration scans the whole slot list (or domain)
 //!   every round.  Zero bookkeeping between rounds, full-width launches.
-//!   This is the representation behind `G-PR-NoShr` and the paper's dense
-//!   level-synchronous BFS kernels.
-//! * [`WorklistMode::Compacted`] — the same stamps, but the list is rebuilt
-//!   by the paper's `G-PR-SHRKRNL` pattern (a count pass, a device
+//!   This is the representation behind `G-PR-NoShr` and the paper's
+//!   full-grid level-synchronous BFS kernels.
+//! * [`WorklistMode::Compacted`] — the same stamps, but the slot list is
+//!   rebuilt by the paper's `G-PR-SHRKRNL` pattern (a count pass, a device
 //!   [exclusive prefix sum](crate::primitives::exclusive_prefix_sum), and a
-//!   scatter into private regions), so later launches cover only live
-//!   entries.  This is `G-PR-Shr`'s representation, generalized.
+//!   scatter into private regions) when the push loop asks for it, so later
+//!   launches cover only live entries.  This is `G-PR-Shr`'s push loop
+//!   (Algorithm 7, line 11).  Compaction belongs to the slot protocol only:
+//!   a frontier in this mode runs exactly as the atomic-append list.
 //! * [`WorklistMode::AtomicQueue`] — vertices for the next round are
 //!   **appended device-side** with an atomic fetch-add
 //!   ([`DeviceQueue`]), the worklist-centric design of the GPU BFS
@@ -41,7 +43,9 @@
 //! * the **frontier protocol** ([`Worklist::for_each_frontier`] /
 //!   [`Worklist::advance_frontier`]) is the level-synchronous BFS shape:
 //!   threads push any number of discovered vertices, and advancing moves the
-//!   epoch to the next level.
+//!   epoch to the next level.  A frontier is either the full grid
+//!   ([`WorklistMode::DenseStamp`]) or the atomic-append list (every other
+//!   mode).
 //!
 //! # Epochs and stamps
 //!
@@ -82,7 +86,6 @@ use crate::primitives::{self, DeviceQueue};
 use crate::scratch::ScratchBuffer;
 use std::cell::OnceCell;
 use std::fmt;
-use std::str::FromStr;
 
 /// Sentinel for an empty worklist slot.
 pub const WL_EMPTY: u64 = u64::MAX;
@@ -94,7 +97,8 @@ pub enum WorklistMode {
     /// `iA`-array scheme; no compaction ever runs).
     DenseStamp,
     /// Slots compacted with the count / prefix-sum / scatter pattern of
-    /// `G-PR-SHRKRNL` when the engine asks for it.
+    /// `G-PR-SHRKRNL` when the engine asks for it.  A frontier in this mode
+    /// is the atomic-append list of [`WorklistMode::AtomicQueue`].
     Compacted,
     /// Device-side atomic-append queue: each round launches over exactly
     /// the items pushed by the previous round, with no scan in between.
@@ -107,8 +111,8 @@ impl WorklistMode {
         [WorklistMode::DenseStamp, WorklistMode::Compacted, WorklistMode::AtomicQueue]
     }
 
-    /// The round-trippable label used in `Algorithm` specs (`+dense`,
-    /// `+compacted`, `+queue`).
+    /// The label of the representation (`dense`, `compacted`, `queue`), as
+    /// benchmark cells and `Algorithm` spec suffixes print it.
     pub fn label(&self) -> &'static str {
         match self {
             WorklistMode::DenseStamp => "dense",
@@ -130,43 +134,26 @@ impl fmt::Display for WorklistMode {
     }
 }
 
-/// Error returned when a string is not a [`WorklistMode`] label.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseWorklistModeError {
-    /// The string that failed to parse.
-    pub input: String,
-}
-
-impl fmt::Display for ParseWorklistModeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cannot parse worklist mode '{}': expected one of dense, compacted, queue",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseWorklistModeError {}
-
-impl FromStr for WorklistMode {
-    type Err = ParseWorklistModeError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(WorklistMode::DenseStamp),
-            "compacted" => Ok(WorklistMode::Compacted),
-            "queue" => Ok(WorklistMode::AtomicQueue),
-            _ => Err(ParseWorklistModeError { input: s.to_string() }),
-        }
-    }
-}
-
 /// Kernel names a worklist charges its maintenance launches to, so each
 /// engine's device statistics keep their paper-faithful labels
 /// (`G-PR-INITKRNL`, `G-PR-SHRKRNL_count`, …).
 #[derive(Clone, Copy, Debug)]
 pub struct WorklistKernels {
+    /// Queue rebuild passes (predicate re-scan on a drained queue, stamp
+    /// re-scan after an overflow) and device-side seeding.  Also the name
+    /// the **fused** drained-queue refill is charged to: with
+    /// [`Worklist::for_each_active_refill`] the refill stops appearing as
+    /// launches and shows up as
+    /// [`fused_tails`](crate::KernelStats::fused_tails) instead.
+    pub refill: &'static str,
+    /// The slot protocol's passes; `None` for a worklist driven only
+    /// through the frontier protocol, which never launches them.
+    pub slots: Option<SlotKernels>,
+}
+
+/// Kernel names of the slot protocol's maintenance passes.
+#[derive(Clone, Copy, Debug)]
+pub struct SlotKernels {
     /// Slot-resolve / stamp pass (the paper's `G-PR-INITKRNL`).
     pub init: &'static str,
     /// Compaction count pass (`G-PR-SHRKRNL` pass 1).
@@ -174,12 +161,6 @@ pub struct WorklistKernels {
     /// Compaction scatter pass (`G-PR-SHRKRNL` pass 3; pass 2 is the shared
     /// device prefix sum).
     pub compact_scatter: &'static str,
-    /// Queue rebuild passes (predicate re-scan on a drained queue, stamp
-    /// re-scan after an overflow).  Also the name the **fused** drained-queue
-    /// refill is charged to: with [`Worklist::for_each_active_refill`] the
-    /// refill stops appearing as launches and shows up as
-    /// [`fused_tails`](crate::KernelStats::fused_tails) instead.
-    pub refill: &'static str,
 }
 
 /// What a slot-protocol thread decided about its item; applied by the
@@ -229,11 +210,10 @@ impl ActiveView<'_> {
 
 /// In-kernel view handed to frontier-protocol threads.
 pub struct FrontierView<'a> {
-    mode: WorklistMode,
     stamp: &'a DeviceBuffer<u64>,
     epoch: u64,
     nonempty: &'a DeviceBuffer<u64>,
-    /// Present only in the queue representation.
+    /// The append list; `None` on the full grid.
     queue: Option<DeviceQueue<'a>>,
 }
 
@@ -243,15 +223,15 @@ impl FrontierView<'_> {
     #[inline]
     pub fn push(&self, ctx: &ThreadCtx, v: usize) {
         let next = self.epoch + 1;
-        match self.mode {
-            WorklistMode::DenseStamp | WorklistMode::Compacted => {
+        match &self.queue {
+            None => {
                 self.stamp.set(v, next);
                 self.nonempty.set(0, 1);
             }
-            WorklistMode::AtomicQueue => {
+            Some(queue) => {
                 if self.stamp.get(v) != next {
                     self.stamp.set(v, next);
-                    self.queue.as_ref().expect("queue present in queue mode").push(ctx, v as u64);
+                    queue.push(ctx, v as u64);
                 }
             }
         }
@@ -441,8 +421,8 @@ impl<'gpu> Worklist<'gpu> {
         self.round_open = false;
     }
 
-    /// Device-side seeding: stamps (and, for list-materializing modes,
-    /// gathers) every domain element satisfying `predicate`, without any
+    /// Device-side seeding: stamps (and, for list frontiers, gathers) every
+    /// domain element satisfying `predicate`, without any
     /// host-side scan.  Launches are charged to the worklist's `refill`
     /// kernel name, so the seeding cost shows up in the device model like
     /// any other kernel.  Same epoch semantics as [`Worklist::seed`].
@@ -451,24 +431,21 @@ impl<'gpu> Worklist<'gpu> {
         self.tail.set(0, 0);
         self.nonempty.set(0, 0);
         self.overflow.set(0, 0);
-        match self.mode {
-            WorklistMode::DenseStamp => {
-                // Membership is the stamps alone; one domain pass suffices
-                // and no list is materialized.
-                let epoch = self.epoch;
-                let stamp = self.stamp_buf();
-                self.gpu.launch(self.names.refill, self.domain, |ctx| {
-                    let v = ctx.global_id;
-                    ctx.add_work(1);
-                    if predicate(v) {
-                        stamp.set(v, epoch);
-                    }
-                });
-                self.len = 0;
-            }
-            WorklistMode::Compacted | WorklistMode::AtomicQueue => {
-                self.len = self.gather_into_current(&predicate, true);
-            }
+        if self.is_grid_frontier() {
+            // Membership is the stamps alone; one domain pass suffices and
+            // no list is materialized.
+            let epoch = self.epoch;
+            let stamp = self.stamp_buf();
+            self.gpu.launch(self.names.refill, self.domain, |ctx| {
+                let v = ctx.global_id;
+                ctx.add_work(1);
+                if predicate(v) {
+                    stamp.set(v, epoch);
+                }
+            });
+            self.len = 0;
+        } else {
+            self.len = self.gather_into_current(&predicate, true);
         }
         self.fresh_seed = true;
         self.compacted = false;
@@ -675,11 +652,18 @@ impl<'gpu> Worklist<'gpu> {
     // Frontier protocol (level-synchronous BFS shape)
     // ------------------------------------------------------------------
 
-    /// Launches `f` over the current frontier.  In
-    /// [`WorklistMode::DenseStamp`] the launch covers the whole domain and
+    /// `true` when the frontier protocol runs on the full grid: only
+    /// [`WorklistMode::DenseStamp`] does; every other mode runs its
+    /// frontier as the atomic-append list.
+    fn is_grid_frontier(&self) -> bool {
+        self.mode == WorklistMode::DenseStamp
+    }
+
+    /// Launches `f` over the current frontier.  On the grid
+    /// ([`WorklistMode::DenseStamp`]) the launch covers the whole domain and
     /// the stamp array decides membership (the paper's dense BFS kernels);
-    /// the other modes launch over the materialized frontier list.  `f`
-    /// pushes next-level vertices through the [`FrontierView`].
+    /// the list launches over the appended frontier.  `f` pushes next-level
+    /// vertices through the [`FrontierView`].
     pub fn for_each_frontier(
         &self,
         name: &'static str,
@@ -688,60 +672,42 @@ impl<'gpu> Worklist<'gpu> {
         let stamp = self.stamp_buf();
         let epoch = self.epoch;
         let view = FrontierView {
-            mode: self.mode,
             stamp,
             epoch,
             nonempty: &self.nonempty,
-            queue: self.mode.is_queue().then(|| self.queue_view()),
+            queue: (!self.is_grid_frontier()).then(|| self.queue_view()),
         };
-        match self.mode {
-            WorklistMode::DenseStamp => {
-                self.gpu.launch(name, self.domain, |ctx| {
-                    let v = ctx.global_id;
-                    ctx.add_work(1);
-                    if stamp.get(v) == epoch {
-                        f(ctx, v, &view);
-                    }
-                });
-            }
-            WorklistMode::Compacted | WorklistMode::AtomicQueue => {
-                let current = self.current_buf();
-                self.gpu.launch(name, self.len, |ctx| {
-                    ctx.add_work(1);
-                    f(ctx, current.get(ctx.global_id) as usize, &view);
-                });
-            }
+        if self.is_grid_frontier() {
+            self.gpu.launch(name, self.domain, |ctx| {
+                let v = ctx.global_id;
+                ctx.add_work(1);
+                if stamp.get(v) == epoch {
+                    f(ctx, v, &view);
+                }
+            });
+        } else {
+            let current = self.current_buf();
+            self.gpu.launch(name, self.len, |ctx| {
+                ctx.add_work(1);
+                f(ctx, current.get(ctx.global_id) as usize, &view);
+            });
         }
     }
 
     /// Moves the frontier to the next level, returning `true` iff it is
-    /// non-empty.  [`WorklistMode::Compacted`] materializes the new frontier
-    /// from the stamps here; [`WorklistMode::AtomicQueue`] swaps in the
-    /// appended queue (rebuilding from stamps after an overflow).
+    /// non-empty.  The list swaps in the appended queue (rebuilding from
+    /// stamps after an overflow).
     pub fn advance_frontier(&mut self) -> bool {
         self.fresh_seed = false;
         self.fused_refill_done = false;
         self.epoch += 1;
-        match self.mode {
-            WorklistMode::DenseStamp => {
-                let any = self.nonempty.get(0) != 0;
-                self.nonempty.set(0, 0);
-                any
-            }
-            WorklistMode::Compacted => {
-                let any = self.nonempty.get(0) != 0;
-                self.nonempty.set(0, 0);
-                if any {
-                    self.compact_from_stamps();
-                } else {
-                    self.len = 0;
-                }
-                self.len > 0
-            }
-            WorklistMode::AtomicQueue => {
-                self.take_appended_queue();
-                self.len > 0
-            }
+        if self.is_grid_frontier() {
+            let any = self.nonempty.get(0) != 0;
+            self.nonempty.set(0, 0);
+            any
+        } else {
+            self.take_appended_queue();
+            self.len > 0
         }
     }
 
@@ -791,6 +757,11 @@ impl<'gpu> Worklist<'gpu> {
     // Internal passes
     // ------------------------------------------------------------------
 
+    /// The slot protocol's kernel names.
+    fn slot_kernels(&self) -> SlotKernels {
+        self.names.slots.expect("the slot protocol needs slot kernel names")
+    }
+
     /// `G-PR-INITKRNL` (Algorithm 8): resolve each slot's retry memory,
     /// stamp the live items with the current epoch, raise the activity flag.
     fn init_slots(&self, predicate: &(impl Fn(usize) -> bool + Sync)) {
@@ -799,7 +770,7 @@ impl<'gpu> Worklist<'gpu> {
         let stamp = self.stamp_buf();
         let nonempty = &*self.nonempty;
         let epoch = self.epoch;
-        self.gpu.launch(self.names.init, self.len, |ctx| {
+        self.gpu.launch(self.slot_kernels().init, self.len, |ctx| {
             let i = ctx.global_id;
             ctx.add_work(1);
             let prev = pending.get(i);
@@ -825,7 +796,7 @@ impl<'gpu> Worklist<'gpu> {
         {
             let current = self.current_buf();
             let pending = self.pending_buf();
-            self.gpu.launch(self.names.compact_count, len, |ctx| {
+            self.gpu.launch(self.slot_kernels().compact_count, len, |ctx| {
                 let i = ctx.global_id;
                 ctx.add_work(1);
                 let prev = pending.get(i);
@@ -847,7 +818,7 @@ impl<'gpu> Worklist<'gpu> {
             let stamp = self.stamp_buf();
             let nonempty = &*self.nonempty;
             let epoch = self.epoch;
-            self.gpu.launch(self.names.compact_scatter, len, |ctx| {
+            self.gpu.launch(self.slot_kernels().compact_scatter, len, |ctx| {
                 let i = ctx.global_id;
                 ctx.add_work(1);
                 let v = resolved.get(i);
@@ -870,8 +841,8 @@ impl<'gpu> Worklist<'gpu> {
         self.len = total;
     }
 
-    /// Rebuilds the current list from the stamp array (`stamp == epoch`),
-    /// used by the compacted frontier and by queue-overflow recovery.
+    /// Rebuilds the current list from the stamp array (`stamp == epoch`)
+    /// after a queue overflow.
     fn compact_from_stamps(&mut self) {
         let epoch = self.epoch;
         let stamp = self.stamp_buf();
@@ -933,10 +904,12 @@ mod tests {
     use crate::engine::VirtualGpu;
 
     const NAMES: WorklistKernels = WorklistKernels {
-        init: "wl_init",
-        compact_count: "wl_count",
-        compact_scatter: "wl_scatter",
         refill: "wl_refill",
+        slots: Some(SlotKernels {
+            init: "wl_init",
+            compact_count: "wl_count",
+            compact_scatter: "wl_scatter",
+        }),
     };
 
     fn gpus() -> Vec<VirtualGpu> {
@@ -1294,6 +1267,22 @@ mod tests {
     }
 
     #[test]
+    fn compacted_frontier_runs_exactly_as_the_queue() {
+        // Compaction belongs to the slot protocol: a Compacted worklist's
+        // frontier is the atomic-append list, with the same launches, work,
+        // atomics and modelled time, and no rebuild between levels.
+        let [compacted, queue] = [WorklistMode::Compacted, WorklistMode::AtomicQueue].map(|mode| {
+            let gpu = VirtualGpu::sequential();
+            run_bfs(mode, &gpu, 300);
+            let mut stats = gpu.stats();
+            stats.kernels.values_mut().for_each(|k| k.wall_time_ns = 0.0);
+            stats
+        });
+        assert_eq!(compacted, queue);
+        assert_eq!(compacted.launches_of("wl_refill"), 0);
+    }
+
+    #[test]
     fn reseeding_never_collides_with_stale_stamps() {
         for mode in WorklistMode::all() {
             let gpu = VirtualGpu::sequential();
@@ -1424,13 +1413,11 @@ mod tests {
     }
 
     #[test]
-    fn mode_labels_round_trip() {
+    fn mode_labels_match_display() {
+        let labels: Vec<String> = WorklistMode::all().iter().map(ToString::to_string).collect();
+        assert_eq!(labels, ["dense", "compacted", "queue"]);
         for mode in WorklistMode::all() {
-            assert_eq!(mode.label().parse::<WorklistMode>().unwrap(), mode);
             assert_eq!(mode.to_string(), mode.label());
         }
-        let err = "stack".parse::<WorklistMode>().unwrap_err();
-        assert!(err.to_string().contains("stack"));
-        assert!(err.to_string().contains("queue"));
     }
 }

@@ -172,8 +172,8 @@ proptest! {
     }
 
     /// A full worklist BFS reaches the same vertices at the same depths
-    /// under both backends and under every representation — the dense
-    /// stamp scan, the compacted list, and the queue tail.
+    /// under both backends and on both frontier representations — the
+    /// dense stamp grid and the queue tail.
     #[test]
     fn worklist_queue_bfs_agrees_across_backends(
         n in 2usize..400,
@@ -181,14 +181,9 @@ proptest! {
         chunk in 1usize..300,
     ) {
         use gpm_gpu::{Worklist, WorklistKernels, WorklistMode};
-        const NAMES: WorklistKernels = WorklistKernels {
-            init: "wl_init",
-            compact_count: "wl_count",
-            compact_scatter: "wl_scatter",
-            refill: "wl_refill",
-        };
+        const NAMES: WorklistKernels = WorklistKernels { refill: "wl_refill", slots: None };
         let mut depths = Vec::new();
-        for mode in WorklistMode::all() {
+        for mode in [WorklistMode::DenseStamp, WorklistMode::AtomicQueue] {
             let sequential = VirtualGpu::sequential();
             let parallel = pooled(3, 4, chunk);
             for gpu in [&sequential, &parallel] {

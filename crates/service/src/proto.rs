@@ -578,6 +578,9 @@ mod tests {
                 r#"{"op":"solve","algorithm":"G-HK+blocked@resident","fingerprint":"0x1"}"#,
                 "cannot parse",
             ),
+            // A compacted BFS frontier runs as the queue: one spelling per
+            // program.
+            (r#"{"op":"solve","algorithm":"G-HKDW+compacted","fingerprint":"0x1"}"#, "+queue"),
             (r#"{"op":"solve","algorithm":"HK","init":"magic","fingerprint":"0x1"}"#, "magic"),
             (r#"{"op":"solve","algorithm":"HK"}"#, "missing non-negative integer field 'rows'"),
             (r#"{"op":"put_graph","rows":2,"cols":2,"edges":[[0]]}"#, "edges[0]"),

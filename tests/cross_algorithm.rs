@@ -11,24 +11,22 @@ use gpu_pr_matching::graph::verify::{
 };
 use gpu_pr_matching::graph::{gen, BipartiteCsr, Matching};
 
-/// One configuration per `Algorithm` variant, plus extra G-PR coverage so
-/// all three kernel variants, both strategy families, and all three device
-/// worklist representations are exercised.
+/// One configuration per `Algorithm` variant, plus extra G-PR and G-HK
+/// coverage so all three kernel variants, both strategy families, and
+/// every worklist representation a family accepts are exercised.
 fn every_algorithm() -> Vec<Algorithm> {
     vec![
         Algorithm::gpr(GprVariant::First, GrStrategy::paper_default()),
         Algorithm::gpr(GprVariant::ActiveList, GrStrategy::Fixed(10)),
         Algorithm::gpr(GprVariant::Shrink, GrStrategy::Adaptive(0.7)),
         Algorithm::gpr(GprVariant::Shrink, GrStrategy::Adaptive(0.7))
-            .with_worklist(WorklistMode::DenseStamp),
-        Algorithm::gpr(GprVariant::Shrink, GrStrategy::Adaptive(0.7))
             .with_worklist(WorklistMode::AtomicQueue),
-        Algorithm::gpr(GprVariant::ActiveList, GrStrategy::paper_default())
+        Algorithm::gpr(GprVariant::First, GrStrategy::paper_default())
             .with_worklist(WorklistMode::AtomicQueue),
         Algorithm::ghk(GhkVariant::Hk),
         Algorithm::ghk(GhkVariant::Hkdw),
         Algorithm::ghk(GhkVariant::Hk).with_worklist(WorklistMode::AtomicQueue),
-        Algorithm::ghk(GhkVariant::Hkdw).with_worklist(WorklistMode::Compacted),
+        Algorithm::ghk(GhkVariant::Hkdw).with_worklist(WorklistMode::AtomicQueue),
         Algorithm::SequentialPushRelabel(0.5),
         Algorithm::PothenFan,
         Algorithm::HopcroftKarp,
